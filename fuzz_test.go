@@ -5,8 +5,10 @@ package matchfilter
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"matchfilter/internal/core"
 	"matchfilter/internal/regexparse"
 )
 
@@ -59,7 +61,9 @@ func FuzzCompileScan(f *testing.F) {
 }
 
 // FuzzLoad asserts the engine loader never panics and never accepts
-// mutations that break scanning.
+// mutations that break scanning. One seed is a flat image as older
+// builds wrote it, so mutations also reach the flat→classed conversion
+// at decode time.
 func FuzzLoad(f *testing.F) {
 	e := MustCompile([]string{"ab.*cd", `x[^\n]*y`})
 	var buf bytes.Buffer
@@ -70,6 +74,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("garbage"))
+	f.Add(flatEngineImage(f, e))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -81,6 +86,39 @@ func FuzzLoad(f *testing.F) {
 		// Whatever loaded must scan without panicking.
 		loaded.Scan([]byte("ab cd x y\nab"))
 	})
+}
+
+// flatEngineImage re-serializes e the way builds that still served flat
+// tables wrote it: the pattern list, the MFA header, e's DFA expanded to
+// 256-wide rows in the MFDFA1 framing, then the filter program.
+func flatEngineImage(tb testing.TB, e *Engine) []byte {
+	var img bytes.Buffer
+	if err := core.WriteStrings(&img, e.patterns); err != nil {
+		tb.Fatal(err)
+	}
+	le := func(v any) { binary.Write(&img, binary.LittleEndian, v) }
+	d := e.mfa.DFA()
+	img.WriteString("MFAUT1\nMFDFA1\n")
+	le(uint32(d.NumStates()))
+	le(d.Start())
+	le(d.AcceptStart())
+	le(d.TransitionTable())
+	le(uint32(len(d.AcceptSets())))
+	for _, ids := range d.AcceptSets() {
+		le(uint32(len(ids)))
+		le(ids)
+	}
+	if _, err := e.mfa.Program().WriteTo(&img); err != nil {
+		tb.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(img.Bytes()))
+	if err != nil {
+		tb.Fatalf("flat image does not load: %v", err)
+	}
+	if got := loaded.mfa.Stats().DFALayout; got != "classed" {
+		tb.Fatalf("flat image loaded as %q, want classed", got)
+	}
+	return img.Bytes()
 }
 
 // TestFuzzSeedsSanity keeps the deliberate-corruption cases meaningful:

@@ -113,7 +113,7 @@ func Build(set string) (*Engines, error) {
 	})
 
 	// DFA (may exceed its budget). The baseline keeps the paper's flat
-	// one-load-per-byte table; the flat-vs-classed comparison is its own
+	// one-load-per-byte table; the MFA's table layouts are their own
 	// experiment (layout.go), not a change to the Figure 2–5 baselines.
 	start = time.Now()
 	d, err := dfa.FromNFA(n, dfa.Options{Layout: dfa.LayoutFlat})

@@ -140,12 +140,6 @@ func (r *JSONReport) AddEngineScaling(results []EngineScalingResult) {
 // batched row per (set, layout, K) lockstep measurement.
 func (r *JSONReport) AddLayout(results []LayoutResult) {
 	for _, lr := range results {
-		flat := r.throughputRow("layout", lr.Set, lr.Flat)
-		flat.Engine = EngineMFA.String()
-		flat.Layout = "flat"
-		flat.TableBytes = lr.FlatTableBytes
-		r.Rows = append(r.Rows, flat)
-
 		classed := r.throughputRow("layout", lr.Set, lr.Classed)
 		classed.Engine = EngineMFA.String()
 		classed.Layout = "classed"

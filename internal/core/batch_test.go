@@ -19,18 +19,14 @@ func compileTest(t testing.TB, layout dfa.Layout, sources ...string) *MFA {
 		}
 		rules[i] = Rule{Pattern: p, ID: int32(i + 1)}
 	}
-	m, err := Compile(rules, Options{DFA: dfa.Options{Layout: layout}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return compileAs(t, rules, Options{}, layout)
 }
 
 // TestBatcherSameRunnerChunkOrder checks that multiple Adds for one
 // flow inside a single batch scan in arrival order: a match spanning
 // the chunk boundary must be found exactly as in a sequential scan.
 func TestBatcherSameRunnerChunkOrder(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range testLayouts {
 		m := compileTest(t, layout, "attack.*payload", "abc")
 		input := []byte("xx abc attack with payload yy")
 		want := fmt.Sprint(m.Run(input))
@@ -48,27 +44,27 @@ func TestBatcherSameRunnerChunkOrder(t *testing.T) {
 		b.Add(r, "f1", input[9:23], cb)
 		b.Add(r, "f1", input[23:], cb)
 		if b.Len() != 2 {
-			t.Fatalf("layout %v: Len = %d, want 2 lanes", layout, b.Len())
+			t.Fatalf("layout %s: Len = %d, want 2 lanes", layoutName(layout), b.Len())
 		}
 		if !b.Contains(r) || b.Contains(m.NewRunner()) {
-			t.Fatalf("layout %v: Contains misreports", layout)
+			t.Fatalf("layout %s: Contains misreports", layoutName(layout))
 		}
 		b.Flush()
 		if fmt.Sprint(got) != want {
-			t.Fatalf("layout %v: batched %v, want %s", layout, got, want)
+			t.Fatalf("layout %s: batched %v, want %s", layoutName(layout), got, want)
 		}
 	}
 }
 
-// TestBatcherMixedLayouts puts runners of all three layouts (three
-// distinct MFAs) into one batch — the multi-tenant shard case — and
+// TestBatcherMixedLayouts puts runners of every test layout (three
+// distinct MFAs: classed, classed2 and one loaded from a flat image)
+// into one batch — the multi-tenant shard case — and
 // checks every flow's stream against its own sequential reference.
 func TestBatcherMixedLayouts(t *testing.T) {
 	sources := []string{"attack.*payload", "abc", "x[0-9]+y"}
-	mfas := []*MFA{
-		compileTest(t, dfa.LayoutFlat, sources...),
-		compileTest(t, dfa.LayoutClassed, sources...),
-		compileTest(t, dfa.LayoutClassed2, sources...),
+	var mfas []*MFA
+	for _, layout := range testLayouts {
+		mfas = append(mfas, compileTest(t, layout, sources...))
 	}
 	inputs := [][]byte{
 		[]byte("xx abc attack with payload x12y"),
@@ -97,12 +93,11 @@ func TestBatcherMixedLayouts(t *testing.T) {
 }
 
 // TestBatcherMixedMFAsSameLayout puts runners of two *different* MFAs
-// sharing one layout into a batch, so the partition is heterogeneous
-// and the generic (per-lane table view) lockstep loop runs rather than
-// the shared-table fast path. Every flow's stream must still match its
-// own sequential reference.
+// sharing one layout into a batch, so the lockstep loop's per-strip
+// table-view loads alternate between automata. Every flow's stream must
+// still match its own sequential reference.
 func TestBatcherMixedMFAsSameLayout(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range testLayouts {
 		mfas := []*MFA{
 			compileTest(t, layout, "attack.*payload", "abc"),
 			compileTest(t, layout, "x[0-9]+y", "payload"),
@@ -125,7 +120,7 @@ func TestBatcherMixedMFAsSameLayout(t *testing.T) {
 		for fi, input := range inputs {
 			want := fmt.Sprint(mfas[fi%2].Run(input))
 			if got := fmt.Sprint(streams[fi]); got != want {
-				t.Fatalf("layout %v flow %d: got %s, want %s", layout, fi, got, want)
+				t.Fatalf("layout %s flow %d: got %s, want %s", layoutName(layout), fi, got, want)
 			}
 		}
 	}
@@ -210,10 +205,10 @@ func TestBatcherPanicLeavesBatchEmpty(t *testing.T) {
 // the property flow teardown and hot reload rely on when they capture
 // contexts from recently batched runners.
 func TestBatcherWriteBackState(t *testing.T) {
-	for _, layout := range []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range testLayouts {
 		m := compileTest(t, layout, "attack.*payload", "abc")
 		inputs := [][]byte{
-			[]byte("xx abc attack wi"),  // even length
+			[]byte("xx abc attack wi"),   // even length
 			[]byte("odd abc attack wi."), // odd length
 			[]byte("attack with paylo"),
 		}
@@ -230,11 +225,11 @@ func TestBatcherWriteBackState(t *testing.T) {
 			bs, _, _, _ := batched[fi].Context()
 			ss, _, _, _ := seq.Context()
 			if bs != ss || batched[fi].Pos() != seq.Pos() {
-				t.Fatalf("layout %v flow %d: batched context (%d,%d) != sequential (%d,%d)",
-					layout, fi, bs, batched[fi].Pos(), ss, seq.Pos())
+				t.Fatalf("layout %s flow %d: batched context (%d,%d) != sequential (%d,%d)",
+					layoutName(layout), fi, bs, batched[fi].Pos(), ss, seq.Pos())
 			}
 			if bs >= uint32(m.Stats().DFAStates) {
-				t.Fatalf("layout %v flow %d: written-back state %d is not a plain state number", layout, fi, bs)
+				t.Fatalf("layout %s flow %d: written-back state %d is not a plain state number", layoutName(layout), fi, bs)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/trace"
 )
 
@@ -120,61 +119,63 @@ func TestSetContextClearsStaleRegisters(t *testing.T) {
 	}
 }
 
-// A context saved under one table layout restores into a runner of the
-// other layout: state numbering and filter state are layout-independent,
-// which is what lets a hot reload swap a flat build for a classed one
-// (or vice versa) under live flows that reset onto it.
+// A context saved under one table layout restores into a runner of
+// another: state numbering and filter state are layout-independent,
+// which is what lets a hot reload swap a classed build for a classed2
+// one (or an engine loaded from an older flat image) under live flows
+// that reset onto it.
 func TestCrossLayoutContextRoundTrip(t *testing.T) {
 	sources := []string{"attack.*payload", "evil(roo|admin)t?", "GET /[a-z]+"}
-	flat := compileMFA(t, Options{DFA: dfa.Options{Layout: dfa.LayoutFlat}}, sources...)
-	classed := compileMFA(t, Options{DFA: dfa.Options{Layout: dfa.LayoutClassed}}, sources...)
+	rules := mustRules(t, sources...)
+	mfas := make([]*MFA, len(testLayouts))
+	for i, layout := range testLayouts {
+		mfas[i] = compileAs(t, rules, Options{}, layout)
+	}
 
-	gen := trace.NewGenerator(flat.DFA(), 7)
+	gen := trace.NewGenerator(mfas[0].DFA(), 7)
 	input := gen.Generate(nil, 8192, 0.5)
 	half := len(input) / 2
 
-	layouts := []struct {
-		name     string
-		src, dst *MFA
-	}{
-		{"flat to classed", flat, classed},
-		{"classed to flat", classed, flat},
-	}
-	for _, lo := range layouts {
-		t.Run(lo.name, func(t *testing.T) {
-			// One runner scans the whole input on the source layout...
-			cont := lo.src.NewRunner()
-			cont.Feed(input[:half], func(int32, int64) {})
-			state, mem, regs, ctrs := cont.Context()
-			pos := cont.Pos()
-			wantTail := feedEvents(cont, input[half:])
+	for si, src := range mfas {
+		for di, dst := range mfas {
+			if si == di {
+				continue
+			}
+			// "flat" names the engine loaded from a flat image.
+			t.Run(testLayouts[si].String()+" to "+testLayouts[di].String(), func(t *testing.T) {
+				// One runner scans the whole input on the source layout...
+				cont := src.NewRunner()
+				cont.Feed(input[:half], func(int32, int64) {})
+				state, mem, regs, ctrs := cont.Context()
+				pos := cont.Pos()
+				wantTail := feedEvents(cont, input[half:])
 
-			// ...and a runner on the destination layout picks up its
-			// mid-stream context. The tail streams must be identical.
-			moved := lo.dst.NewRunner()
-			if err := moved.SetContext(state, mem, regs, ctrs, pos); err != nil {
-				t.Fatal(err)
-			}
-			gotTail := feedEvents(moved, input[half:])
-			if fmt.Sprint(gotTail) != fmt.Sprint(wantTail) {
-				t.Fatalf("tail streams differ after cross-layout restore:\nsrc: %v\ndst: %v",
-					wantTail, gotTail)
-			}
-		})
+				// ...and a runner on the destination layout picks up its
+				// mid-stream context. The tail streams must be identical.
+				moved := dst.NewRunner()
+				if err := moved.SetContext(state, mem, regs, ctrs, pos); err != nil {
+					t.Fatal(err)
+				}
+				gotTail := feedEvents(moved, input[half:])
+				if fmt.Sprint(gotTail) != fmt.Sprint(wantTail) {
+					t.Fatalf("tail streams differ after cross-layout restore:\nsrc: %v\ndst: %v",
+						wantTail, gotTail)
+				}
+			})
+		}
 	}
 }
 
-// SelfCheck accepts healthy builds of both layouts (the reload gate must
-// not reject good automata) and its trace is deterministic.
+// SelfCheck accepts healthy builds of every test layout (the reload
+// gate must not reject good automata) and its trace is deterministic.
 func TestSelfCheckPasses(t *testing.T) {
-	for _, opts := range []Options{
-		{},
-		{DFA: dfa.Options{Layout: dfa.LayoutFlat}},
-		countingOpts(),
-	} {
-		m := compileMFA(t, opts, "attack.*payload", "evil", "aa.{3,}bb")
-		if err := m.SelfCheck(); err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
+	rules := mustRules(t, "attack.*payload", "evil", "aa.{3,}bb")
+	for _, opts := range []Options{{}, countingOpts()} {
+		for _, layout := range testLayouts {
+			m := compileAs(t, rules, opts, layout)
+			if err := m.SelfCheck(); err != nil {
+				t.Fatalf("%s opts %+v: %v", layoutName(layout), opts, err)
+			}
 		}
 	}
 	if string(selfCheckTrace()) != string(selfCheckTrace()) {

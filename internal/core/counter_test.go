@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"matchfilter/internal/dfa"
 	"matchfilter/internal/splitter"
 )
 
@@ -289,13 +288,13 @@ func TestCounterBadContext(t *testing.T) {
 // rules over bounded gaps (plain and classed), random rule subsets,
 // random inputs — the counter-compiled MFA must emit a byte-identical
 // (id, pos) match stream to the undecomposed expanded DFA, whole-payload
-// and under random chunking, in every table layout, and through the
+// and under random chunking, in every test layout (classed, classed2,
+// loaded from a flat image), and through the
 // lockstep batcher. Runs under -race in CI.
 func TestCounterEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	words := []string{"aa", "bb", "cc", "xy"}
 	gaps := []string{".{2,4}", ".{3,7}", ".{5,12}", "[^x]{2,6}", "[^\n]{3,8}", ".{4,}", ".*"}
-	layouts := []dfa.Layout{dfa.LayoutFlat, dfa.LayoutClassed, dfa.LayoutClassed2}
 	trials := 25
 	if testing.Short() {
 		trials = 5
@@ -339,18 +338,13 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 			inputs = append(inputs, []byte(in.String()))
 		}
 
-		for _, layout := range layouts {
-			opts := counterOpts()
-			opts.DFA = dfa.Options{Layout: layout}
-			m, err := Compile(rules, opts)
-			if err != nil {
-				t.Fatalf("trial %d layout %v rules %v: %v", trial, layout, sources, err)
-			}
+		for _, layout := range testLayouts {
+			m := compileAs(t, rules, counterOpts(), layout)
 			for ii, input := range inputs {
 				want := dfaEvents(gt, input)
 				if got := mfaEvents(m, input); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("trial %d layout %v rules %v input %q:\nMFA  %v\ntruth %v",
-						trial, layout, sources, input, got, want)
+					t.Fatalf("trial %d layout %s rules %v input %q:\nMFA  %v\ntruth %v",
+						trial, layoutName(layout), sources, input, got, want)
 				}
 				// Same payload in random odd-biased chunks: counter state
 				// must carry across Feed boundaries identically.
@@ -368,8 +362,8 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 				}
 				sortEvents(stream)
 				if fmt.Sprint(stream) != fmt.Sprint(want) {
-					t.Fatalf("trial %d layout %v input %d: chunked stream diverges from truth",
-						trial, layout, ii)
+					t.Fatalf("trial %d layout %s input %d: chunked stream diverges from truth",
+						trial, layoutName(layout), ii)
 				}
 				// Mid-stream context round trip through a second runner.
 				r1 := m.NewRunner()
@@ -385,56 +379,55 @@ func TestCounterEquivalenceRandom(t *testing.T) {
 				r2.Feed(input[half:], cb)
 				sortEvents(roundTrip)
 				if fmt.Sprint(roundTrip) != fmt.Sprint(want) {
-					t.Fatalf("trial %d layout %v input %d: context round trip diverges\ngot  %v\ntruth %v",
-						trial, layout, ii, roundTrip, want)
+					t.Fatalf("trial %d layout %s input %d: context round trip diverges\ngot  %v\ntruth %v",
+						trial, layoutName(layout), ii, roundTrip, want)
 				}
 			}
 		}
 
 		// Batched lockstep: all inputs as concurrent flows through one
-		// FlowBatcher must reproduce each flow's sequential stream.
-		opts := counterOpts()
-		m, err := Compile(rules, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 3, MaxBatchFlows} {
-			b := NewFlowBatcher(k)
-			frs := make([]*Runner, len(inputs))
-			streams := make([][]event, len(inputs))
-			offs := make([]int, len(inputs))
-			cbs := make([]MatchFunc, len(inputs))
-			for fi := range inputs {
-				frs[fi] = m.NewRunner()
-				fi := fi
-				cbs[fi] = func(id int32, pos int64) {
-					streams[fi] = append(streams[fi], event{id, pos})
+		// FlowBatcher must reproduce each flow's sequential stream, in
+		// every test layout.
+		for _, layout := range testLayouts {
+			m := compileAs(t, rules, counterOpts(), layout)
+			for _, k := range []int{1, 3, MaxBatchFlows} {
+				b := NewFlowBatcher(k)
+				frs := make([]*Runner, len(inputs))
+				streams := make([][]event, len(inputs))
+				offs := make([]int, len(inputs))
+				cbs := make([]MatchFunc, len(inputs))
+				for fi := range inputs {
+					frs[fi] = m.NewRunner()
+					fi := fi
+					cbs[fi] = func(id int32, pos int64) {
+						streams[fi] = append(streams[fi], event{id, pos})
+					}
 				}
-			}
-			for done := false; !done; {
-				done = true
+				for done := false; !done; {
+					done = true
+					for fi, input := range inputs {
+						if offs[fi] >= len(input) {
+							continue
+						}
+						done = false
+						n := 1 + rng.Intn(30)
+						if offs[fi]+n > len(input) {
+							n = len(input) - offs[fi]
+						}
+						if !b.Add(frs[fi], fi, input[offs[fi]:offs[fi]+n], cbs[fi]) {
+							t.Fatalf("trial %d: batcher refused a runner", trial)
+						}
+						offs[fi] += n
+					}
+				}
+				b.Flush()
 				for fi, input := range inputs {
-					if offs[fi] >= len(input) {
-						continue
+					want := dfaEvents(gt, input)
+					sortEvents(streams[fi])
+					if fmt.Sprint(streams[fi]) != fmt.Sprint(want) {
+						t.Fatalf("trial %d %s k=%d flow %d: batched stream diverges\ngot  %v\ntruth %v",
+							trial, layoutName(layout), k, fi, streams[fi], want)
 					}
-					done = false
-					n := 1 + rng.Intn(30)
-					if offs[fi]+n > len(input) {
-						n = len(input) - offs[fi]
-					}
-					if !b.Add(frs[fi], fi, input[offs[fi]:offs[fi]+n], cbs[fi]) {
-						t.Fatalf("trial %d: batcher refused a runner", trial)
-					}
-					offs[fi] += n
-				}
-			}
-			b.Flush()
-			for fi, input := range inputs {
-				want := dfaEvents(gt, input)
-				sortEvents(streams[fi])
-				if fmt.Sprint(streams[fi]) != fmt.Sprint(want) {
-					t.Fatalf("trial %d k=%d flow %d: batched stream diverges\ngot  %v\ntruth %v",
-						trial, k, fi, streams[fi], want)
 				}
 			}
 		}

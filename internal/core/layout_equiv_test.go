@@ -11,8 +11,10 @@ import (
 )
 
 // TestLayoutEquivalence is the tentpole's end-to-end property test:
-// for random subsets of the named pattern sets, flat-, classed- and
-// classed2-layout MFAs must emit byte-identical (id, pos) match streams
+// for random subsets of the named pattern sets, classed- and
+// classed2-layout MFAs and an MFA loaded from a flat image (written by
+// an older build, converted to classed at load) must emit
+// byte-identical (id, pos) match streams
 // on both uniform-random payloads and trace-generated (match-seeking)
 // payloads, including when the payload arrives in arbitrary Feed chunks
 // — odd-length chunks included, which exercise the classed2 1-byte tail
@@ -42,47 +44,42 @@ func TestLayoutEquivalence(t *testing.T) {
 				rules = append(rules, Rule{Pattern: all[0].Pattern, ID: all[0].ID})
 			}
 
-			flat, err := Compile(rules, Options{DFA: dfa.Options{Layout: dfa.LayoutFlat}})
-			if err != nil {
-				t.Fatalf("%s/%d: flat compile: %v", set, trial, err)
+			variants := make([]*MFA, len(testLayouts))
+			names := make([]string, len(testLayouts))
+			for vi, layout := range testLayouts {
+				variants[vi] = compileAs(t, rules, Options{}, layout)
+				names[vi] = layoutName(layout)
+				if layout != dfa.LayoutFlat {
+					if got := variants[vi].Stats().DFALayout; got != names[vi] {
+						t.Fatalf("%s/%d: %s build reports layout %q", set, trial, names[vi], got)
+					}
+				}
 			}
-			classed, err := Compile(rules, Options{DFA: dfa.Options{Layout: dfa.LayoutClassed}})
-			if err != nil {
-				t.Fatalf("%s/%d: classed compile: %v", set, trial, err)
-			}
-			if got := classed.Stats().DFALayout; got != "classed" {
-				t.Fatalf("%s/%d: classed build reports layout %q", set, trial, got)
-			}
-			classed2, err := Compile(rules, Options{DFA: dfa.Options{Layout: dfa.LayoutClassed2}})
-			if err != nil {
-				t.Fatalf("%s/%d: classed2 compile: %v", set, trial, err)
-			}
-			if got := classed2.Stats().DFALayout; got != "classed2" {
-				t.Fatalf("%s/%d: classed2 build reports layout %q", set, trial, got)
-			}
-			variants := []*MFA{classed, classed2}
-			names := []string{"classed", "classed2"}
+			ref := variants[0]
 
 			seed := int64(set[0])*1000 + int64(trial)
-			gen := trace.NewGenerator(flat.DFA(), seed)
+			gen := trace.NewGenerator(ref.DFA(), seed)
 			inputs := [][]byte{
-				trace.Random(4095, seed), // odd length: whole-payload tail path
+				trace.Random(4095, seed),      // odd length: whole-payload tail path
 				gen.Generate(nil, 4096, 0.35), // drives the automaton toward accepts
 				gen.Generate(nil, 4096, 0.95), // near-adversarial: maximal match density
 			}
 			for ii, input := range inputs {
-				want := fmt.Sprint(flat.Run(input))
-				for vi, m := range variants {
+				want := fmt.Sprint(ref.Run(input))
+				for vi, m := range variants[1:] {
 					if got := fmt.Sprint(m.Run(input)); got != want {
-						t.Fatalf("%s/%d input %d: match streams differ\nflat:    %s\n%s: %s",
-							set, trial, ii, want, names[vi], got)
+						t.Fatalf("%s/%d input %d: match streams differ\n%s: %s\n%s: %s",
+							set, trial, ii, names[0], want, names[vi+1], got)
 					}
 				}
 
 				// Same payload delivered in random chunks — odd lengths
 				// forced on half the chunks: per-flow context must carry
 				// across Feed calls identically in every layout.
-				runners := []*Runner{flat.NewRunner(), classed.NewRunner(), classed2.NewRunner()}
+				runners := make([]*Runner, len(variants))
+				for vi, m := range variants {
+					runners[vi] = m.NewRunner()
+				}
 				streams := make([][]MatchEvent, len(runners))
 				for off := 0; off < len(input); {
 					n := 1 + rng.Intn(700)
@@ -110,12 +107,12 @@ func TestLayoutEquivalence(t *testing.T) {
 
 			// Batched lockstep: the three inputs become three concurrent
 			// flows through one FlowBatcher per layout; every flow's stream
-			// must equal its flat sequential reference, for every batch
+			// must equal its classed sequential reference, for every batch
 			// width including K=1 (degenerate, exercises the full-batch
 			// self-flush in Add).
 			for _, k := range []int{1, 2, 3, MaxBatchFlows} {
-				for vi, m := range append([]*MFA{flat}, variants...) {
-					name := append([]string{"flat"}, names...)[vi]
+				for vi, m := range variants {
+					name := names[vi]
 					b := NewFlowBatcher(k)
 					frs := make([]*Runner, len(inputs))
 					streams := make([][]MatchEvent, len(inputs))
@@ -153,7 +150,7 @@ func TestLayoutEquivalence(t *testing.T) {
 						t.Fatalf("%s/%d %s k=%d: batcher not empty after flush", set, trial, name, k)
 					}
 					for fi, input := range inputs {
-						if got, want := fmt.Sprint(streams[fi]), fmt.Sprint(flat.Run(input)); got != want {
+						if got, want := fmt.Sprint(streams[fi]), fmt.Sprint(ref.Run(input)); got != want {
 							t.Fatalf("%s/%d %s k=%d flow %d: batched stream differs\nwant: %s\ngot:  %s",
 								set, trial, name, k, fi, want, got)
 						}

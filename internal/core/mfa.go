@@ -10,17 +10,21 @@
 // w-bit memory — so multiplexing many flows costs a few bytes per flow
 // (§III-B).
 //
-// Layout-independence invariant: the DFA's transition-table layout
-// (flat, classed, or classed2 — dfa.Options.Layout) changes only memory
-// footprint and load pattern, never behaviour. Feed produces
-// byte-identical (ruleID, pos) match streams in every layout, and the
-// contexts exchanged through Runner.Context/SetContext carry plain DFA
-// state numbers — never layout-internal scaled row bases or pair-table
+// Layout-independence invariant: an MFA serves one of two
+// transition-table layouts — classed (the default) or classed2 (opt-in,
+// dfa.Options.Layout) — and the choice changes only memory footprint
+// and load pattern, never behaviour. A flat table never reaches the scan
+// loops: Compile rejects an explicit flat request, and the one MFA
+// constructor converts the flat DFA of an image written by an older
+// build to classed at load time. Feed produces byte-identical
+// (ruleID, pos) match streams in both layouts, and the contexts
+// exchanged through Runner.Context/SetContext carry plain DFA state
+// numbers — never layout-internal scaled row bases or pair-table
 // positions — so a context saved under one layout (or one generation of
-// a hot-reloaded rule set compiled with another layout) restores
-// correctly, and can never resume in the middle of a classed2 byte
-// pair. FlowBatcher (batch.go) preserves the same invariant: batched
-// lockstep scanning reorders work across flows, never within one.
+// a hot-reloaded rule set compiled with the other) restores correctly,
+// and can never resume in the middle of a classed2 byte pair.
+// FlowBatcher (batch.go) preserves the same invariant: batched lockstep
+// scanning reorders work across flows, never within one.
 package core
 
 import (
@@ -74,8 +78,8 @@ type BuildStats struct {
 	// DFATableBytes is the transition table's share of DFABytes in its
 	// actual layout (classed tables include the 256-byte class map;
 	// classed2 includes the pair table plus the retained 1-byte table);
-	// DFAClasses is the byte equivalence-class count (256 when flat) and
-	// DFALayout names the layout ("flat", "classed" or "classed2").
+	// DFAClasses is the byte equivalence-class count and DFALayout names
+	// the layout ("classed" or "classed2").
 	// Exposed to telemetry so /metrics and /statsz report what the scan
 	// loop is actually walking.
 	DFATableBytes int
@@ -90,15 +94,14 @@ func (s BuildStats) MemoryImageBytes() int { return s.DFABytes + s.FilterBytes }
 // for concurrent use by any number of flows; per-flow state lives in
 // Runner.
 type MFA struct {
-	engine *dfa.Engine
-	prog   *filter.Program
-	stats  BuildStats
+	d     *dfa.DFA
+	prog  *filter.Program
+	stats BuildStats
 
-	// Hot-loop views of the DFA, cached so Runner.Feed runs the
-	// table-walk inline instead of through dfa.Runner callbacks.
-	// classOf is nil for the flat layout; stride is the table's row
-	// width (256 flat, the class count otherwise); trans2/stride2 are
-	// the 2-byte-stride pair table and its row width (nil/0 unless the
+	// Hot-loop views of the (always classed) DFA, cached so Runner.Feed
+	// and FlowBatcher run the table walk inline. stride is the class
+	// count, the 1-byte table's row width; trans2/stride2 are the
+	// 2-byte-stride pair table and its row width (nil/0 unless the
 	// layout is classed2). Runner.Feed branches on the layout once per
 	// call, never per byte.
 	trans       []uint32
@@ -114,10 +117,20 @@ type MFA struct {
 // 0-based offset of the byte at which the match completed.
 type MatchFunc = func(ruleID int32, pos int64)
 
+// ErrFlatLayout is returned by Compile for a layout the MFA does not
+// serve — an explicit flat request, or any value other than auto,
+// classed and classed2.
+var ErrFlatLayout = errors.New("core: the MFA serves only the auto, classed and classed2 table layouts")
+
 // Compile builds the MFA for a rule set: regex splitting (Algorithm 1),
 // standard subset construction over the fragments, and filter-program
 // assembly.
 func Compile(rules []Rule, opts Options) (*MFA, error) {
+	switch opts.DFA.Layout {
+	case dfa.LayoutAuto, dfa.LayoutClassed, dfa.LayoutClassed2:
+	default:
+		return nil, fmt.Errorf("%w (got %v)", ErrFlatLayout, opts.DFA.Layout)
+	}
 	startAll := time.Now()
 
 	srules := make([]splitter.Rule, len(rules))
@@ -149,11 +162,43 @@ func Compile(rules []Rule, opts Options) (*MFA, error) {
 	dfaTime := time.Since(startDFA)
 
 	prog := res.Program()
+	m := newMFA(d, prog, BuildStats{
+		Split:        res.Stats,
+		NumRules:     len(rules),
+		NumFragments: len(res.Fragments),
+		NFAStates:    n.NumStates(),
+		MemBits:      res.MemBits,
+		PosRegs:      res.NumRegs,
+		SplitTime:    splitTime,
+		DFATime:      dfaTime,
+	})
+	m.stats.BuildTime = time.Since(startAll)
+	return m, nil
+}
+
+// newMFA is the one MFA constructor, shared by Compile and the image
+// decoder. It is the only place a flat DFA is handled: one decoded from
+// an MFDFA1 image, or an MFDFA2 image with layout code 0 (both written
+// by older builds), is converted to classed here (Compressed returns
+// classed and classed2 DFAs unchanged), so the scan loops see classed
+// or classed2 tables only. stats carries the caller's construction
+// figures; the image and table fields are filled in here.
+func newMFA(d *dfa.DFA, prog *filter.Program, stats BuildStats) *MFA {
+	d = d.Compressed()
 	trans, classOf, stride := d.ScanTable()
 	trans2, stride2 := d.PairTable()
-	m := &MFA{
-		engine:      dfa.NewEngine(d),
+	stats.DFAStates = d.NumStates()
+	stats.Counters = prog.NumCounters()
+	stats.InternalIDs = prog.NumIDs() - 1
+	stats.DFABytes = d.MemoryImageBytes()
+	stats.FilterBytes = prog.MemoryImageBytes()
+	stats.DFATableBytes = d.TableBytes()
+	stats.DFAClasses = d.NumClasses()
+	stats.DFALayout = d.Layout().String()
+	return &MFA{
+		d:           d,
 		prog:        prog,
+		stats:       stats,
 		trans:       trans,
 		classOf:     classOf,
 		stride:      stride,
@@ -161,27 +206,7 @@ func Compile(rules []Rule, opts Options) (*MFA, error) {
 		stride2:     stride2,
 		acceptStart: d.AcceptStart(),
 		accepts:     d.AcceptSets(),
-		stats: BuildStats{
-			Split:        res.Stats,
-			NumRules:     len(rules),
-			NumFragments: len(res.Fragments),
-			NFAStates:    n.NumStates(),
-			DFAStates:    d.NumStates(),
-			MemBits:      res.MemBits,
-			PosRegs:      res.NumRegs,
-			Counters:     prog.NumCounters(),
-			InternalIDs:  prog.NumIDs() - 1,
-			BuildTime:    time.Since(startAll),
-			SplitTime:    splitTime,
-			DFATime:      dfaTime,
-			DFABytes:      d.MemoryImageBytes(),
-			FilterBytes:   prog.MemoryImageBytes(),
-			DFATableBytes: d.TableBytes(),
-			DFAClasses:    d.NumClasses(),
-			DFALayout:     d.Layout().String(),
-		},
 	}
-	return m, nil
 }
 
 // Stats returns the compilation statistics.
@@ -191,42 +216,43 @@ func (m *MFA) Stats() BuildStats { return m.stats }
 func (m *MFA) Program() *filter.Program { return m.prog }
 
 // DFA returns the character DFA (Q, Σ, δ, q0, Di, Dq of the 9-tuple).
-func (m *MFA) DFA() *dfa.DFA { return m.engine.DFA() }
+func (m *MFA) DFA() *dfa.DFA { return m.d }
 
 // Runner is one flow's matching context: the (q, m) pair of §III-B, plus
 // the position registers of the counting extension and the counter
 // registers of the bounded-repeat extension when the pattern set uses
 // them.
 type Runner struct {
-	mfa  *MFA
-	dfa  *dfa.Runner
-	mem  filter.Memory
-	regs filter.Registers
-	ctrs filter.Counters
+	mfa   *MFA
+	state uint32 // DFA state q, a plain state number in every layout
+	pos   int64  // bytes consumed so far
+	mem   filter.Memory
+	regs  filter.Registers
+	ctrs  filter.Counters
 }
 
 // NewRunner returns a runner positioned at the start of a fresh flow,
 // with DFA state q0, all-zero filter memory and unset registers.
 func (m *MFA) NewRunner() *Runner {
 	return &Runner{
-		mfa:  m,
-		dfa:  m.engine.NewRunner(),
-		mem:  m.prog.NewMemory(),
-		regs: m.prog.NewRegisters(),
-		ctrs: m.prog.NewCounters(),
+		mfa:   m,
+		state: m.d.Start(),
+		mem:   m.prog.NewMemory(),
+		regs:  m.prog.NewRegisters(),
+		ctrs:  m.prog.NewCounters(),
 	}
 }
 
 // Reset rewinds the runner for a new flow.
 func (r *Runner) Reset() {
-	r.dfa.Reset()
+	r.state, r.pos = r.mfa.d.Start(), 0
 	r.mem.Reset()
 	r.regs.Reset()
 	r.ctrs.Reset()
 }
 
 // Pos returns the number of bytes consumed so far.
-func (r *Runner) Pos() int64 { return r.dfa.Pos() }
+func (r *Runner) Pos() int64 { return r.pos }
 
 // Context returns the flow's saved state: the DFA state and copies of the
 // filter memory, position registers and counter state (regs and ctrs are
@@ -234,7 +260,7 @@ func (r *Runner) Pos() int64 { return r.dfa.Pos() }
 // with Pos these fully capture parsing state, so multiplexed flows need
 // only store this tuple (§III-B).
 func (r *Runner) Context() (state uint32, mem filter.Memory, regs filter.Registers, ctrs filter.Counters) {
-	return r.dfa.State(), r.mem.Clone(), r.regs.Clone(), r.ctrs.Clone()
+	return r.state, r.mem.Clone(), r.regs.Clone(), r.ctrs.Clone()
 }
 
 // ErrBadContext is returned (wrapped) by SetContext when a saved flow
@@ -271,7 +297,7 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 	copy(r.regs, regs)
 	r.ctrs.Reset()
 	copy(r.ctrs, ctrs)
-	r.dfa.SetState(state, pos)
+	r.state, r.pos = state, pos
 	return nil
 }
 
@@ -280,27 +306,19 @@ func (r *Runner) SetContext(state uint32, mem filter.Memory, regs filter.Registe
 // matches of original rules. The DFA walk is inlined here — with the
 // table layout resolved once per call, not per byte — so the composite
 // engine's hot loop matches a bare DFA until a possible match needs
-// filtering: one table load and compare per byte on the flat layout,
-// plus one load from the always-cached 256-byte class map on the
-// byte-class layout; the classed2 layout walks the δ² pair table (one
-// dependent load per two bytes), taking the slow path only for pairs
-// that end accepting or cross an accepting mid state, and finishing an
-// odd-length chunk with a single 1-byte step.
+// filtering: one load from the always-cached 256-byte class map plus one
+// table load per byte on the classed layout. The classed2 layout walks
+// the δ² pair table (one dependent load per two bytes), taking the slow
+// path only for pairs that end accepting or cross an accepting mid
+// state, and hands an odd-length chunk's last byte to the classed loop.
 func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 	m := r.mfa
-	prog := m.prog
-	mem := r.mem
-	regs := r.regs
-	ctrs := r.ctrs
-	trans := m.trans
-	acceptStart := m.acceptStart
-	state := r.dfa.State()
-	pos := r.dfa.Pos()
+	trans, classOf := m.trans, m.classOf
+	k := uint32(m.stride)
+	state, pos := r.state, r.pos
 	if trans2 := m.trans2; trans2 != nil {
-		k := uint32(m.stride)
 		s2 := uint32(m.stride2)
-		classOf := m.classOf
-		scaledAccept2 := acceptStart * s2
+		scaledAccept2 := m.acceptStart * s2
 		st2 := state * s2
 		n := len(data) &^ 1
 		for i := 0; i < n; i += 2 {
@@ -312,51 +330,34 @@ func (r *Runner) Feed(data []byte, onMatch MatchFunc) {
 			pos += 2
 		}
 		state = st2 / s2
-		if n < len(data) { // odd tail: one 1-byte classed step
-			base := trans[state*k+uint32(classOf[data[n]])]
-			if base >= acceptStart*k {
-				for _, id := range m.accepts[(base-acceptStart*k)/k] {
-					if ruleID, ok := prog.ApplyAll(mem, regs, ctrs, id, pos); ok {
-						onMatch(ruleID, pos)
-					}
-				}
-			}
-			state = base / k
-			pos++
+		data = data[n:] // odd tail: at most one 1-byte classed step
+	}
+	// Classed tables hold pre-scaled row bases (see dfa.ScanTable): the
+	// walk is a single add per byte; state numbers are recovered only at
+	// accept events and at the end of the call.
+	st := state * k
+	scaledAccept := m.acceptStart * k
+	for i := 0; i < len(data); i++ {
+		st = trans[st+uint32(classOf[data[i]])]
+		if st >= scaledAccept {
+			r.accept(st/k, pos, onMatch)
 		}
-	} else if classOf := m.classOf; classOf != nil {
-		// Classed tables hold pre-scaled row bases (see dfa.ScanTable):
-		// the walk is a single add per byte; state numbers are recovered
-		// only at accept events and at the end of the call.
-		k := uint32(m.stride)
-		st := state * k
-		scaledAccept := acceptStart * k
-		for i := 0; i < len(data); i++ {
-			st = trans[st+uint32(classOf[data[i]])]
-			if st >= scaledAccept {
-				for _, id := range m.accepts[(st-scaledAccept)/k] {
-					if ruleID, ok := prog.ApplyAll(mem, regs, ctrs, id, pos); ok {
-						onMatch(ruleID, pos)
-					}
-				}
-			}
-			pos++
-		}
-		state = st / k
-	} else {
-		for i := 0; i < len(data); i++ {
-			state = trans[int(state)<<8|int(data[i])]
-			if state >= acceptStart {
-				for _, id := range m.accepts[state-acceptStart] {
-					if ruleID, ok := prog.ApplyAll(mem, regs, ctrs, id, pos); ok {
-						onMatch(ruleID, pos)
-					}
-				}
-			}
-			pos++
+		pos++
+	}
+	r.state, r.pos = st/k, pos
+}
+
+// accept runs the filter program over the decision set of accepting
+// state s, reached at byte offset pos, and reports every confirmed
+// match. It is the one accept path of all scan loops: Feed, the classed2
+// pair slow path and the FlowBatcher lockstep loops.
+func (r *Runner) accept(s uint32, pos int64, onMatch MatchFunc) {
+	m := r.mfa
+	for _, id := range m.accepts[s-m.acceptStart] {
+		if ruleID, ok := m.prog.ApplyAll(r.mem, r.regs, r.ctrs, id, pos); ok {
+			onMatch(ruleID, pos)
 		}
 	}
-	r.dfa.SetState(state, pos)
 }
 
 // pairSlow replays one classed2 pair through the 1-byte table, running
@@ -368,23 +369,15 @@ func (r *Runner) pairSlow(state uint32, b1, b2 byte, pos int64, onMatch MatchFun
 	m := r.mfa
 	k := uint32(m.stride)
 	scaledAccept := m.acceptStart * k
-	midBase := m.trans[state*k+uint32(m.classOf[b1])]
-	if midBase >= scaledAccept {
-		for _, id := range m.accepts[(midBase-scaledAccept)/k] {
-			if ruleID, ok := m.prog.ApplyAll(r.mem, r.regs, r.ctrs, id, pos); ok {
-				onMatch(ruleID, pos)
-			}
-		}
+	mid := m.trans[state*k+uint32(m.classOf[b1])]
+	if mid >= scaledAccept {
+		r.accept(mid/k, pos, onMatch)
 	}
-	finBase := m.trans[midBase+uint32(m.classOf[b2])]
-	if finBase >= scaledAccept {
-		for _, id := range m.accepts[(finBase-scaledAccept)/k] {
-			if ruleID, ok := m.prog.ApplyAll(r.mem, r.regs, r.ctrs, id, pos+1); ok {
-				onMatch(ruleID, pos+1)
-			}
-		}
+	fin := m.trans[mid+uint32(m.classOf[b2])]
+	if fin >= scaledAccept {
+		r.accept(fin/k, pos+1, onMatch)
 	}
-	return (finBase / k) * uint32(m.stride2)
+	return fin / k * uint32(m.stride2)
 }
 
 // FeedCount advances the flow and returns only the number of confirmed

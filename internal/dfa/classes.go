@@ -27,15 +27,13 @@ import "fmt"
 type Layout uint8
 
 const (
-	// LayoutAuto lets the constructor choose: byte-class compression is
-	// applied when it shrinks the table at least 2× (numClasses ≤ 128),
-	// otherwise the flat layout is kept. Every shipped pattern set
-	// compresses far better than 2×, so Auto means Classed in practice;
-	// the escape hatch exists for adversarial sets where the class map's
-	// extra load would buy nothing.
+	// LayoutAuto is the default and resolves to LayoutClassed: a classed
+	// table is never larger than the flat one plus the 256-byte class
+	// map, so there is no rule set for which flat is the smaller choice.
 	LayoutAuto Layout = iota
 	// LayoutFlat stores the full numStates × 256 row-major table:
-	// one load per input byte.
+	// one load per input byte. Only the paper's bare-DFA, HFA and XFA
+	// baselines request it; the MFA serves classed tables only.
 	LayoutFlat
 	// LayoutClassed stores a 256-byte class map and a numStates ×
 	// numClasses table: two dependent loads per input byte, the first of
@@ -87,10 +85,6 @@ func ParseLayout(s string) (Layout, error) {
 	return LayoutAuto, fmt.Errorf("dfa: unknown layout %q (want auto, flat, classed or classed2)", s)
 }
 
-// autoClassThreshold is the LayoutAuto cutoff: compression is kept when
-// numClasses ≤ 128, i.e. the table shrinks at least 2×.
-const autoClassThreshold = 128
-
 // computeClasses partitions the byte alphabet into equivalence classes
 // over a flat (256-wide) transition table: classOf[b1] == classOf[b2]
 // iff trans[s*256+b1] == trans[s*256+b2] for every state s. Classes are
@@ -130,12 +124,14 @@ func computeClasses(trans []uint32, numStates int) (classOf []uint8, numClasses 
 	return classOf, numClasses
 }
 
-// compressed returns the byte-class form of a flat-layout DFA. The
-// successor function is preserved exactly — for every state and byte,
-// Next is unchanged — so match streams are byte-for-byte identical; only
-// the storage layout differs. Decision sets are shared with the
-// receiver, which stays valid: both views are immutable.
-func (d *DFA) compressed() *DFA {
+// Compressed returns the byte-class form of a flat-layout DFA (a classed
+// or classed2 receiver is returned as is). The successor function is
+// preserved exactly — for every state and byte, Next is unchanged — so
+// match streams are byte-for-byte identical; only the storage layout
+// differs. Decision sets are shared with the receiver, which stays
+// valid: both views are immutable. The MFA uses it to serve flat images
+// written by older builds as classed.
+func (d *DFA) Compressed() *DFA {
 	if d.classOf != nil {
 		return d
 	}
@@ -191,17 +187,11 @@ func (d *DFA) applyLayout(l Layout) *DFA {
 	switch l {
 	case LayoutFlat:
 		return d
-	case LayoutClassed:
-		return d.compressed()
 	case LayoutClassed2:
 		// Falls back to classed when the pair table would exceed
 		// Classed2MaxTableBytes; Layout() on the result tells which.
-		return d.compressed().withPairs()
-	default: // LayoutAuto
-		c := d.compressed()
-		if c.numClasses <= autoClassThreshold {
-			return c
-		}
-		return d
+		return d.Compressed().withPairs()
+	default: // LayoutAuto, LayoutClassed
+		return d.Compressed()
 	}
 }

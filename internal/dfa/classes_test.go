@@ -132,8 +132,8 @@ func TestLayoutEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestLayoutAutoPicksClassed checks the Auto policy: pattern sets with
-// few distinct byte behaviours compress and Auto keeps the classed form.
+// TestLayoutAutoPicksClassed checks the Auto policy: Auto always builds
+// the classed form, and its table is smaller than the flat one.
 func TestLayoutAutoPicksClassed(t *testing.T) {
 	d, err := FromNFA(buildNFA(t, "abc.*def", "xy?z"), Options{})
 	if err != nil {
@@ -141,9 +141,6 @@ func TestLayoutAutoPicksClassed(t *testing.T) {
 	}
 	if d.Layout() != LayoutClassed {
 		t.Fatalf("auto layout = %v, want classed", d.Layout())
-	}
-	if d.NumClasses() > autoClassThreshold {
-		t.Fatalf("%d classes exceeds the auto threshold yet classed was kept", d.NumClasses())
 	}
 	if got := d.TableBytes(); got >= d.NumStates()*256*4 {
 		t.Fatalf("classed table %d B not smaller than flat %d B", got, d.NumStates()*256*4)

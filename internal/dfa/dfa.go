@@ -6,7 +6,9 @@
 // Three table layouts are supported, selected by Options.Layout:
 //
 //   - Flat: a single []uint32 indexed by state*256+byte, so advancing
-//     the automaton is one load per input byte.
+//     the automaton is one load per input byte. Only the paper's
+//     bare-DFA, HFA and XFA baselines build it; the MFA serves classed
+//     tables and converts flat images to classed on load (Compressed).
 //   - Classed (the default via LayoutAuto): a 256-byte equivalence-class
 //     map plus a numStates×numClasses table indexed by
 //     state*numClasses+classOf[byte] — two dependent loads per byte, but
@@ -66,10 +68,8 @@ type Options struct {
 	// never merges states that report different matches.
 	Minimize bool
 	// Layout selects the transition-table representation. The zero value
-	// (LayoutAuto) applies byte-class compression whenever it shrinks the
-	// table at least 2×; LayoutFlat forces the paper's one-load-per-byte
-	// table and exists so baselines and equivalence tests can compare the
-	// two layouts on identical automata.
+	// (LayoutAuto) applies byte-class compression; LayoutFlat forces the
+	// paper's one-load-per-byte table for the baselines that pin it.
 	Layout Layout
 }
 

@@ -29,7 +29,7 @@ func (d *DFA) minimize() *DFA {
 			acceptStart: d.acceptStart,
 			accepts:     d.accepts,
 		}
-		return flat.minimize().compressed()
+		return flat.minimize().Compressed()
 	}
 	n := d.numStates
 	group := make([]uint32, n)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,6 +15,10 @@ import (
 	"matchfilter/internal/regexparse"
 )
 
+// buildLayoutMFA compiles sources with one table layout. dfa.LayoutFlat
+// stands for "loaded from a flat image written by an older build": the
+// default build re-serialized with an MFDFA1 (flat, 256-wide) DFA
+// section and decoded again, which the loader converts to classed.
 func buildLayoutMFA(t testing.TB, layout dfa.Layout, sources ...string) *core.MFA {
 	t.Helper()
 	rules := make([]core.Rule, len(sources))
@@ -24,11 +29,41 @@ func buildLayoutMFA(t testing.TB, layout dfa.Layout, sources ...string) *core.MF
 		}
 		rules[i] = core.Rule{Pattern: p, ID: int32(i + 1)}
 	}
+	flat := layout == dfa.LayoutFlat
+	if flat {
+		layout = dfa.LayoutAuto
+	}
 	m, err := core.Compile(rules, core.Options{DFA: dfa.Options{Layout: layout}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	if !flat {
+		return m
+	}
+	d := m.DFA()
+	var img bytes.Buffer
+	le := func(v any) { binary.Write(&img, binary.LittleEndian, v) }
+	img.WriteString("MFAUT1\nMFDFA1\n")
+	le(uint32(d.NumStates()))
+	le(d.Start())
+	le(d.AcceptStart())
+	le(d.TransitionTable())
+	le(uint32(len(d.AcceptSets())))
+	for _, ids := range d.AcceptSets() {
+		le(uint32(len(ids)))
+		le(ids)
+	}
+	if _, err := m.Program().WriteTo(&img); err != nil {
+		t.Fatal(err)
+	}
+	lm, err := core.ReadMFA(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.Stats().DFALayout; got != "classed" {
+		t.Fatalf("flat image loaded as %q, want classed", got)
+	}
+	return lm
 }
 
 // TestBatchedShardedEquivalence extends the core soundness claim to the
@@ -40,10 +75,10 @@ func TestBatchedShardedEquivalence(t *testing.T) {
 	sources := []string{"attack.*payload", "evil[^\n]*string", "xmrig"}
 	capture := interleavedCapture(t, 12, 8<<10, []string{"attack", "payload", "evil", "string", "xmrig"})
 
-	flat := buildLayoutMFA(t, dfa.LayoutFlat, sources...)
+	ref := buildLayoutMFA(t, dfa.LayoutClassed, sources...)
 	var seq []Match
 	seqStats, err := flow.ScanPcap(bytes.NewReader(capture), flow.Config{},
-		func() flow.Runner { return flat.NewRunner() },
+		func() flow.Runner { return ref.NewRunner() },
 		func(mt flow.Match) { seq = append(seq, mt) })
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +88,15 @@ func TestBatchedShardedEquivalence(t *testing.T) {
 	}
 	want := flowMatches(seq)
 
-	for _, layout := range []dfa.Layout{dfa.LayoutClassed, dfa.LayoutClassed2} {
+	for _, layout := range []dfa.Layout{dfa.LayoutClassed, dfa.LayoutClassed2, dfa.LayoutFlat} {
 		m := buildLayoutMFA(t, layout, sources...)
+		name := layout.String()
+		if layout == dfa.LayoutFlat {
+			name = "flat-image"
+		}
 		for _, shards := range []int{1, 4} {
 			for _, k := range []int{4, core.MaxBatchFlows} {
-				t.Run(fmt.Sprintf("%v/shards=%d/k=%d", layout, shards, k), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/shards=%d/k=%d", name, shards, k), func(t *testing.T) {
 					var mu sync.Mutex
 					var got []Match
 					st, err := ScanPcap(bytes.NewReader(capture),
