@@ -81,7 +81,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -105,7 +104,6 @@ import (
 	"matchfilter/internal/guard"
 	"matchfilter/internal/input"
 	"matchfilter/internal/patterns"
-	"matchfilter/internal/regexparse"
 	"matchfilter/internal/telemetry"
 	"matchfilter/internal/tenant"
 )
@@ -175,23 +173,27 @@ func run() (int, error) {
 	if err != nil {
 		return exitError, err
 	}
-	if buildLayout, err = dfa.ParseLayout(*layoutFlag); err != nil {
+	g := gate{counters: *countersFlag}
+	if g.layout, err = dfa.ParseLayout(*layoutFlag); err != nil {
 		return exitError, err
 	}
-	buildCounters = *countersFlag
 	var memLimit int64
 	if *maxMemory != "" {
-		if memLimit, err = parseBytes(*maxMemory); err != nil {
+		if memLimit, err = positiveSize(*maxMemory); err != nil {
 			return exitError, fmt.Errorf("-max-memory: %w", err)
 		}
 	}
-	m, sources, err := loadEngine(*engineFile, *set, *rulesFile)
-	if err != nil {
-		return exitError, err
+	rs := ruleSet{engine: *engineFile, set: *set, file: *rulesFile}
+	switch {
+	case rs.engine != "" && (rs.set != "" || rs.file != ""):
+		return exitError, errors.New("-engine replaces -set/-rules")
+	case rs.engine == "" && rs.set == "" && rs.file == "":
+		return exitError, errors.New("one of -engine, -set or -rules is required")
 	}
 	// The same validation gate a hot reload passes through: a daemon must
 	// not start serving on an image it would refuse to swap in.
-	if err := m.SelfCheck(); err != nil {
+	lr, err := g.load(rs)
+	if err != nil {
 		return exitError, err
 	}
 
@@ -227,7 +229,7 @@ func run() (int, error) {
 	// flight on an older generation still print against the current
 	// sources (cosmetic: rule text may lag the automaton that matched).
 	var cur atomic.Pointer[loadedRules]
-	cur.Store(&loadedRules{m: m, sources: sources})
+	cur.Store(lr)
 
 	// Matches arrive concurrently from shard goroutines; serialize the
 	// report lines. treg is assigned before the engine starts (and is nil
@@ -287,7 +289,7 @@ func run() (int, error) {
 	if len(tenSpecs) > 0 {
 		treg = tenant.NewRegistry(tenant.Config{Metrics: reg, Governor: gov, EventsCap: *eventsCap})
 		for _, spec := range tenSpecs {
-			ti, err := parseTenantSpec(spec)
+			ti, err := parseTenantSpec(spec, g)
 			if err != nil {
 				return exitError, err
 			}
@@ -314,7 +316,7 @@ func run() (int, error) {
 	if gov != nil {
 		cfg.MemPressure = gov.Pressure
 	}
-	e := engine.New(cfg, func() flow.Runner { return m.NewRunner() }, onMatch)
+	e := engine.New(cfg, lr.newRunner, onMatch)
 	if treg != nil {
 		treg.Bind(e)
 		for _, ti := range tenantInstalls {
@@ -332,14 +334,7 @@ func run() (int, error) {
 		gov.RegisterMetrics(reg) // after registration: full per-component series
 	}
 
-	rl := &reloader{
-		engineFile: *engineFile,
-		set:        *set,
-		rulesFile:  *rulesFile,
-		policy:     policy,
-		e:          e,
-		cur:        &cur,
-	}
+	rl := &reloader{gate: g, rules: rs, policy: policy, e: e, cur: &cur}
 	reg.CounterFunc("mfa_reload_success_total",
 		"Pattern hot reloads that validated and swapped in a new generation.",
 		func() float64 { return float64(rl.ok.Load()) })
@@ -453,7 +448,7 @@ func run() (int, error) {
 			Reload: rl.Reload,
 		}
 		if treg != nil {
-			a.Tenants = treg.AdminHandler(compileRules)
+			a.Tenants = treg.AdminHandler(g.compileBody)
 		}
 		var err error
 		if admin, err = a.Start(*adminAddr); err != nil {
@@ -530,23 +525,14 @@ func run() (int, error) {
 	return exitOK, nil
 }
 
-// parseBytes parses a byte size with an optional K/M/G suffix (powers
-// of two, case-insensitive): "512K", "256M", "1G", or a plain number.
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
+// positiveSize parses a byte size for settings where zero is meaningless
+// (-max-memory, ?rate=).
+func positiveSize(s string) (int64, error) {
+	n, err := tenant.ParseSize(s)
+	if err == nil && n <= 0 {
+		err = fmt.Errorf("want a positive size, got %q", s)
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("want a positive size like 268435456, 256M or 1G")
-	}
-	return n * mult, nil
+	return n, err
 }
 
 // parsedSource is one registered source plus its ingest options from
@@ -579,7 +565,7 @@ func parseSource(spec string) ([]parsedSource, error) {
 			case "tenant":
 				ps.tenantID = q.Get("tenant")
 			case "rate":
-				r, err := parseBytes(q.Get("rate"))
+				r, err := positiveSize(q.Get("rate"))
 				if err != nil {
 					return nil, fmt.Errorf("-source %q: rate: %w", spec, err)
 				}
@@ -634,10 +620,10 @@ type tenantInstall struct {
 
 // parseTenantSpec parses and compiles one -tenant flag:
 // 'id=RULES[,cidr=CIDR][,max-flows=N][,max-buffered=SIZE]'. RULES is a
-// rules file path, or set:NAME for a built-in set. The rule set is
-// compiled and self-checked here, so a bad tenant spec fails startup
-// the same way a bad -rules file does.
-func parseTenantSpec(spec string) (tenantInstall, error) {
+// rules file path, or set:NAME for a built-in set. The rule set passes
+// the daemon's gate here, so a bad tenant spec fails startup the same
+// way a bad -rules file does.
+func parseTenantSpec(spec string, g gate) (tenantInstall, error) {
 	var ti tenantInstall
 	fields := strings.Split(spec, ",")
 	id, rulesSrc, ok := strings.Cut(fields[0], "=")
@@ -645,25 +631,15 @@ func parseTenantSpec(spec string) (tenantInstall, error) {
 		return ti, fmt.Errorf("-tenant %q: want id=RULES[,options]", spec)
 	}
 	ti.id = id
-	var body []byte
+	rs := ruleSet{name: rulesSrc}
 	if name, isSet := strings.CutPrefix(rulesSrc, "set:"); isSet {
-		prules, err := patterns.Load(name)
-		if err != nil {
-			return ti, fmt.Errorf("-tenant %s: %w", id, err)
-		}
-		var b strings.Builder
-		for _, r := range prules {
-			b.WriteString(r.Source)
-			b.WriteByte('\n')
-		}
-		body = []byte(b.String())
+		rs = ruleSet{set: name}
 	} else {
 		var err error
-		if body, err = os.ReadFile(rulesSrc); err != nil {
+		if rs.text, err = os.ReadFile(rulesSrc); err != nil {
 			return ti, fmt.Errorf("-tenant %s: %w", id, err)
 		}
 	}
-	ti.spec.Rules = body
 	for _, f := range fields[1:] {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok {
@@ -683,7 +659,7 @@ func parseTenantSpec(spec string) (tenantInstall, error) {
 			}
 			ti.spec.Quota.MaxFlows = n
 		case "max-buffered":
-			n, err := parseBytes(v)
+			n, err := tenant.ParseSize(v)
 			if err != nil {
 				return ti, fmt.Errorf("-tenant %s: max-buffered: %w", id, err)
 			}
@@ -692,65 +668,16 @@ func parseTenantSpec(spec string) (tenantInstall, error) {
 			return ti, fmt.Errorf("-tenant %s: unknown option %q (cidr, max-flows, max-buffered)", id, k)
 		}
 	}
-	var err error
-	if ti.spec.NewRunner, ti.spec.Sources, err = compileRules(body); err != nil {
+	lr, err := g.load(rs)
+	if err != nil {
 		return ti, fmt.Errorf("-tenant %s: %w", id, err)
 	}
+	ti.spec.NewRunner, ti.spec.Sources, ti.spec.Rules = lr.newRunner, lr.sources, rs.text
+	if rs.set != "" {
+		// GET /tenants/<id>/rules serves a built-in set as rule text.
+		ti.spec.Rules = []byte(strings.Join(lr.sources, "\n") + "\n")
+	}
 	return ti, nil
-}
-
-// buildLayout is the transition-table layout every compile in this
-// process uses (-layout, parsed once at startup; zero value is auto).
-// Engine images loaded with -engine keep the layout they were built
-// with.
-var buildLayout dfa.Layout
-
-// buildCounters mirrors buildLayout for the counter-register extension
-// (-counters): every compile in this process — startup set, hot reloads,
-// tenant rule sets — shares the same bounded-repeat encoding.
-var buildCounters bool
-
-func buildOptions() core.Options {
-	opts := core.Options{DFA: dfa.Options{Layout: buildLayout}}
-	opts.Splitter.EnableCounters = buildCounters
-	return opts
-}
-
-// compileRules is the tenant rule-set gate: parse the rule text, compile
-// it, and self-check the automaton — exactly the pipeline POST /reload
-// runs for the default set. It serves both -tenant startup specs and
-// PUT /tenants/<id>/rules (as the registry's tenant.Compiler).
-func compileRules(body []byte) (func() flow.Runner, []string, error) {
-	var rules []core.Rule
-	var sources []string
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		p, err := regexparse.ParsePCRE(line)
-		if err != nil {
-			return nil, nil, err
-		}
-		rules = append(rules, core.Rule{Pattern: p, ID: int32(len(rules) + 1)})
-		sources = append(sources, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	if len(rules) == 0 {
-		return nil, nil, fmt.Errorf("no patterns")
-	}
-	m, err := core.Compile(rules, buildOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := m.SelfCheck(); err != nil {
-		return nil, nil, err
-	}
-	return func() flow.Runner { return m.NewRunner() }, sources, nil
 }
 
 // progressLoop prints one stats line per tick until stop closes. The
@@ -796,43 +723,111 @@ type loadedRules struct {
 	sources []string
 }
 
-// reloader re-runs the daemon's own load path against the original
-// -engine/-set/-rules argument and, when the candidate survives the
-// validation gate, swaps it into the engine as a new generation. The
-// gate runs entirely before the swap: a bad rules file (or a truncated
-// engine image, or an automaton that fails its self-check scan) is
-// rejected with the running generation untouched.
+func (lr *loadedRules) newRunner() flow.Runner { return lr.m.NewRunner() }
+
+// ruleSet names where a rule set comes from: a compiled image, a
+// built-in set or a rules file (read afresh on every load, so a reload
+// picks up edits), or rule text already in memory.
+type ruleSet struct {
+	engine string // compiled image path (-engine)
+	set    string // built-in set name (-set, -tenant id=set:NAME)
+	file   string // rules file path (-rules)
+	name   string // origin of text for name:line errors (-tenant id=FILE, PUT)
+	text   []byte
+}
+
+// gate is the daemon's one validation gate: load → compile → SelfCheck.
+// Startup, SIGHUP, POST /reload, -tenant and PUT /tenants/<id>/rules all
+// pass through it, so no path can serve an automaton another would
+// refuse. layout and counters (-layout, -counters) apply to every
+// compile; -engine images keep the layout they were built with.
+type gate struct {
+	layout   dfa.Layout
+	counters bool
+}
+
+func (g gate) load(rs ruleSet) (*loadedRules, error) {
+	lr := &loadedRules{}
+	if rs.engine != "" {
+		f, err := os.Open(rs.engine)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		if lr.m, lr.sources, err = core.ReadImage(f); err != nil {
+			return nil, err
+		}
+	} else {
+		var prules []patterns.Rule
+		var err error
+		if rs.name != "" {
+			prules, err = patterns.Parse(bytes.NewReader(rs.text), rs.name)
+		} else {
+			prules, err = patterns.Select(rs.set, rs.file)
+		}
+		if err != nil {
+			return nil, err
+		}
+		rules := make([]core.Rule, len(prules))
+		for i, r := range prules {
+			rules[i] = core.Rule{Pattern: r.Pattern, ID: r.ID}
+			lr.sources = append(lr.sources, r.Source)
+		}
+		opts := core.Options{DFA: dfa.Options{Layout: g.layout}}
+		opts.Splitter.EnableCounters = g.counters
+		if lr.m, err = core.Compile(rules, opts); err != nil {
+			return nil, err
+		}
+	}
+	if err := lr.m.SelfCheck(); err != nil {
+		return nil, err
+	}
+	return lr, nil
+}
+
+// compileBody is the gate as the tenant.Compiler behind PUT
+// /tenants/<id>/rules; errors name the request body as "body:line".
+func (g gate) compileBody(body []byte) (func() flow.Runner, []string, error) {
+	lr, err := g.load(ruleSet{name: "body", text: body})
+	if err != nil {
+		return nil, nil, err
+	}
+	return lr.newRunner, lr.sources, nil
+}
+
+// reloader re-runs the gate against the daemon's original
+// -engine/-set/-rules argument and, when the candidate passes, swaps it
+// into the engine as a new generation. The gate runs entirely before the
+// swap: a bad rules file (or a truncated engine image, or an automaton
+// that fails its self-check scan) is rejected with the running
+// generation untouched.
 type reloader struct {
-	mu         sync.Mutex // serializes SIGHUP against POST /reload
-	engineFile string
-	set        string
-	rulesFile  string
-	policy     engine.ReloadPolicy
-	e          *engine.Engine
-	cur        *atomic.Pointer[loadedRules]
-	ok, fail   atomic.Int64
+	mu       sync.Mutex // serializes SIGHUP against POST /reload
+	gate     gate
+	rules    ruleSet
+	policy   engine.ReloadPolicy
+	e        *engine.Engine
+	cur      *atomic.Pointer[loadedRules]
+	ok, fail atomic.Int64
 }
 
 func (r *reloader) Reload() (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, sources, err := loadEngine(r.engineFile, r.set, r.rulesFile)
-	if err == nil {
-		err = m.SelfCheck()
-	}
+	lr, err := r.gate.load(r.rules)
 	if err != nil {
 		r.fail.Add(1)
 		return 0, fmt.Errorf("reload rejected, generation %d keeps serving: %w", r.e.Generation(), err)
 	}
-	gen, err := r.e.Reload(func() flow.Runner { return m.NewRunner() }, r.policy)
+	gen, err := r.e.Reload(lr.newRunner, r.policy)
 	if err != nil {
 		r.fail.Add(1)
 		return 0, err
 	}
-	r.cur.Store(&loadedRules{m: m, sources: sources})
+	r.cur.Store(lr)
 	r.ok.Add(1)
 	fmt.Fprintf(os.Stderr, "mfaserve: reloaded %d rules as generation %d (policy %s)\n",
-		len(sources), gen, r.policy)
+		len(lr.sources), gen, r.policy)
 	return gen, nil
 }
 
@@ -923,77 +918,4 @@ func healthLine(w io.Writer, st engine.Stats, malformed int64) {
 		st.Tier, st.TierEnters[engine.TierSoft], st.TierEnters[engine.TierHard],
 		st.TierTime[engine.TierSoft].Round(time.Millisecond),
 		st.TierTime[engine.TierHard].Round(time.Millisecond))
-}
-
-// loadEngine resolves the three pattern sources: a compiled image, a
-// built-in set, or a rules file.
-func loadEngine(engineFile, set, rulesFile string) (*core.MFA, []string, error) {
-	if engineFile != "" {
-		if set != "" || rulesFile != "" {
-			return nil, nil, fmt.Errorf("-engine replaces -set/-rules")
-		}
-		f, err := os.Open(engineFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<20)
-		sources, err := core.ReadStrings(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := core.ReadMFA(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, sources, nil
-	}
-
-	var rules []core.Rule
-	var sources []string
-	switch {
-	case set != "" && rulesFile != "":
-		return nil, nil, fmt.Errorf("use either -set or -rules, not both")
-	case set != "":
-		prules, err := patterns.Load(set)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, r := range prules {
-			rules = append(rules, core.Rule{Pattern: r.Pattern, ID: r.ID})
-			sources = append(sources, r.Source)
-		}
-	case rulesFile != "":
-		f, err := os.Open(rulesFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			p, err := regexparse.ParsePCRE(line)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", rulesFile, err)
-			}
-			rules = append(rules, core.Rule{Pattern: p, ID: int32(len(rules) + 1)})
-			sources = append(sources, line)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, nil, err
-		}
-		if len(rules) == 0 {
-			return nil, nil, fmt.Errorf("%s: no patterns", rulesFile)
-		}
-	default:
-		return nil, nil, fmt.Errorf("one of -engine, -set or -rules is required")
-	}
-	m, err := core.Compile(rules, buildOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, sources, nil
 }

@@ -83,8 +83,11 @@ func FuzzLoad(f *testing.F) {
 			}
 			return
 		}
-		// Whatever loaded must scan without panicking.
-		loaded.Scan([]byte("ab cd x y\nab"))
+		// Whatever loaded must scan without panicking and name every
+		// pattern it reports.
+		for _, m := range loaded.Scan([]byte("ab cd x y\nab")) {
+			loaded.Pattern(m.Pattern)
+		}
 	})
 }
 
@@ -92,10 +95,14 @@ func FuzzLoad(f *testing.F) {
 // tables wrote it: the pattern list, the MFA header, e's DFA expanded to
 // 256-wide rows in the MFDFA1 framing, then the filter program.
 func flatEngineImage(tb testing.TB, e *Engine) []byte {
-	var img bytes.Buffer
-	if err := core.WriteStrings(&img, e.patterns); err != nil {
+	// The pattern list is the prefix of a current image, up to the MFA
+	// header.
+	var cur bytes.Buffer
+	if err := core.WriteImage(&cur, e.mfa, e.patterns); err != nil {
 		tb.Fatal(err)
 	}
+	var img bytes.Buffer
+	img.Write(cur.Bytes()[:bytes.Index(cur.Bytes(), []byte("MFAUT1\n"))])
 	le := func(v any) { binary.Write(&img, binary.LittleEndian, v) }
 	d := e.mfa.DFA()
 	img.WriteString("MFAUT1\nMFDFA1\n")

@@ -49,7 +49,7 @@ func compileAs(t testing.TB, rules []Rule, opts Options, layout dfa.Layout) *MFA
 // classed.
 func loadFlat(t testing.TB, m *MFA, version int) *MFA {
 	t.Helper()
-	lm, err := ReadMFA(bytes.NewReader(flatImage(t, m, version)))
+	lm, err := readMFA(bytes.NewReader(flatImage(t, m, version)))
 	if err != nil {
 		t.Fatalf("load v%d flat image: %v", version, err)
 	}
@@ -154,11 +154,11 @@ func TestFlatImageLoadsAsClassed(t *testing.T) {
 		// A reloaded image is written back classed: the conversion is
 		// one-way and the re-encoded image round-trips unchanged.
 		var out bytes.Buffer
-		if _, err := m.WriteTo(&out); err != nil {
+		if err := WriteImage(&out, m, sources); err != nil {
 			t.Fatal(err)
 		}
 		var ref bytes.Buffer
-		if _, err := fresh.WriteTo(&ref); err != nil {
+		if err := WriteImage(&ref, fresh, sources); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), ref.Bytes()) {

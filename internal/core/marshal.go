@@ -11,42 +11,60 @@ import (
 	"matchfilter/internal/filter"
 )
 
-// Serialization of compiled MFAs: a header, the character DFA and the
-// filter program, so engines can be compiled once (cmd/mfabuild -o) and
-// loaded by scanners without reparsing or re-running subset construction.
+// Engine images: the rule sources, then the compiled MFA — a header, the
+// character DFA and the filter program — so engines can be compiled once
+// (cmd/mfabuild -o) and loaded by scanners without reparsing or
+// re-running subset construction.
 const mfaMagic = "MFAUT1\n"
 
 // ErrBadFormat is returned (wrapped) when decoding unrecognized or
 // corrupt data.
 var ErrBadFormat = errors.New("core: bad serialized format")
 
-// WriteTo serializes the compiled automaton. It implements io.WriterTo.
-// Construction statistics are not preserved — a loaded engine reports
-// zero build time and split counters, but identical matching behaviour
-// and sizes.
-func (m *MFA) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	n, err := io.WriteString(w, mfaMagic)
-	total += int64(n)
-	if err != nil {
-		return total, err
+// WriteImage writes a complete engine image: the rule sources (rule id
+// i+1 is sources[i]) followed by the automaton. It is the one writer of
+// the format ReadImage reads. Construction statistics are not preserved
+// — a loaded engine reports zero build time and split counters, but
+// identical matching behaviour and sizes.
+func WriteImage(w io.Writer, m *MFA, sources []string) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if err := writeStrings(bw, sources); err != nil {
+		return err
 	}
-	n64, err := m.d.WriteTo(w)
-	total += n64
-	if err != nil {
-		return total, err
+	if _, err := io.WriteString(bw, mfaMagic); err != nil {
+		return err
 	}
-	n64, err = m.prog.WriteTo(w)
-	total += n64
-	return total, err
+	if _, err := m.d.WriteTo(bw); err != nil {
+		return err
+	}
+	if _, err := m.prog.WriteTo(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
-// ReadMFA deserializes an automaton written by WriteTo. The stream is
-// buffered once here and handed to the section readers, which read
-// exactly their own bytes.
-func ReadMFA(r io.Reader) (*MFA, error) {
+// ReadImage reads an engine image written by WriteImage. Every section
+// is validated structurally, and every rule id the filter program can
+// confirm must name one of the image's sources, so a corrupt or hostile
+// image fails with ErrBadFormat rather than loading into an engine that
+// reports rules it cannot name.
+func ReadImage(r io.Reader) (*MFA, []string, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	return readMFA(br)
+	sources, err := readStrings(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := readMFA(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	for id := int32(1); int(id) < m.prog.NumIDs(); id++ {
+		if rep := m.prog.Action(id).Report; rep < 0 || int(rep) > len(sources) {
+			return nil, nil, fmt.Errorf("%w: filter id %d reports rule %d, image has %d",
+				ErrBadFormat, id, rep, len(sources))
+		}
+	}
+	return m, sources, nil
 }
 
 func readMFA(r io.Reader) (*MFA, error) {
@@ -81,8 +99,6 @@ func readMFA(r io.Reader) (*MFA, error) {
 }
 
 // writeString writes a length-prefixed string; readString reverses it.
-// Used by the public API to persist pattern sources alongside the
-// automaton.
 func writeString(w io.Writer, s string) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
 		return err
@@ -106,8 +122,8 @@ func readString(r io.Reader, maxLen int) (string, error) {
 	return string(buf), nil
 }
 
-// WriteStrings persists a list of pattern sources.
-func WriteStrings(w io.Writer, ss []string) error {
+// writeStrings persists a list of pattern sources.
+func writeStrings(w io.Writer, ss []string) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(ss))); err != nil {
 		return err
 	}
@@ -119,8 +135,8 @@ func WriteStrings(w io.Writer, ss []string) error {
 	return nil
 }
 
-// ReadStrings reverses WriteStrings.
-func ReadStrings(r io.Reader) ([]string, error) {
+// readStrings reverses writeStrings.
+func readStrings(r io.Reader) ([]string, error) {
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)

@@ -1,7 +1,7 @@
 // Pre-swap validation of compiled automata.
 //
 // A daemon that hot-reloads its pattern set must never let a bad image
-// take down live traffic: decoding (ReadMFA) proves the bytes parse,
+// take down live traffic: decoding (ReadImage) proves the bytes parse,
 // but only actually *scanning* proves the transition table, decision
 // sets and filter program cooperate without walking out of bounds.
 // SelfCheck is that gate — it drives a runner over a built-in

@@ -40,8 +40,15 @@ func buildLayoutMFA(t testing.TB, layout dfa.Layout, sources ...string) *core.MF
 	if !flat {
 		return m
 	}
+	// The pattern list is the prefix of a current image, up to the MFA
+	// header.
+	var cur bytes.Buffer
+	if err := core.WriteImage(&cur, m, sources); err != nil {
+		t.Fatal(err)
+	}
 	d := m.DFA()
 	var img bytes.Buffer
+	img.Write(cur.Bytes()[:bytes.Index(cur.Bytes(), []byte("MFAUT1\n"))])
 	le := func(v any) { binary.Write(&img, binary.LittleEndian, v) }
 	img.WriteString("MFAUT1\nMFDFA1\n")
 	le(uint32(d.NumStates()))
@@ -56,7 +63,7 @@ func buildLayoutMFA(t testing.TB, layout dfa.Layout, sources ...string) *core.MF
 	if _, err := m.Program().WriteTo(&img); err != nil {
 		t.Fatal(err)
 	}
-	lm, err := core.ReadMFA(&img)
+	lm, _, err := core.ReadImage(&img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,17 +210,15 @@ type Engine struct {
 	closeOnce sync.Once
 	drained   chan struct{} // closed when every shard goroutine has exited
 
-	// gen is the pattern generation new flows start on (reload.go).
-	// reloadMu serializes Reload/ReloadTenant/DropTenant calls.
-	gen      atomic.Pointer[generation]
-	reloadMu sync.Mutex
+	// Rule-set serving state (reload.go): cur maps tenant index to the
+	// generation its new flows start on — index 0 is the default rule
+	// set — so rebuilt assemblers replay every rule set. swapMu guards
+	// cur and serializes Reload/ReloadTenant/DropTenant.
+	swapMu sync.Mutex
+	cur    map[uint32]*generation
 
-	// Tenant serving state (tenant.go): tenantCur maps tenant index to
-	// its current generation so rebuilt assemblers replay the tenant
-	// set; tenantUnknown counts tagged segments shed at dispatch because
-	// their tenant is not published in Config.Tenants.
-	tenantMu      sync.Mutex
-	tenantCur     map[uint32]*generation
+	// tenantUnknown counts tagged segments shed at dispatch because
+	// their tenant is not published in Config.Tenants (tenant.go).
 	tenantUnknown atomic.Int64
 
 	skipped    atomic.Int64 // non-TCP frames
@@ -292,9 +290,9 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 	// installs successors.
 	gen1 := &generation{id: 1, newRunner: newRunner}
 	if cfg.Metrics != nil {
-		gen1.live = registerGenerationGauge(cfg.Metrics, 1)
+		gen1.live = registerGenerationGauge(cfg.Metrics, nil, 1)
 	}
-	e.gen.Store(gen1)
+	e.cur = map[uint32]*generation{0: gen1}
 	// Re-evaluate pressure well before any single queue can fill between
 	// two evaluations; cheap enough that small queues check every call.
 	e.evalEvery = int64(cfg.QueueDepth / 4)
@@ -344,17 +342,11 @@ func New(cfg Config, newRunner func() flow.Runner, onMatch func(Match)) *Engine 
 				onMatch(m)
 			}
 		}
-		// rebuild consults the *current* generation — and the current
-		// tenant set — so an assembler rebuilt after corruption — or
-		// built fresh here — starts its flows on whatever pattern sets
-		// are serving now, not the ones the engine booted with.
-		s.rebuild = func() *flow.Assembler {
-			g := e.gen.Load()
-			a := flow.NewAssembler(cfg.Flow, g.newRunner, shardMatch)
-			a.SetGeneration(g.flowGen(), false)
-			e.installTenants(a)
-			return a
-		}
+		// rebuild replays the *current* rule sets, so an assembler
+		// rebuilt after corruption — or built fresh here — starts its
+		// flows on whatever generations are serving now, not the ones
+		// the engine booted with.
+		s.rebuild = func() *flow.Assembler { return e.replay(cfg.Flow, shardMatch) }
 		s.asm = s.rebuild()
 		s.publish()
 		e.shards[i] = s
@@ -666,7 +658,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	st := Stats{
 		Shards:        len(e.shards),
-		Generation:    e.gen.Load().id,
+		Generation:    e.Generation(),
 		SkippedFrames: e.skipped.Load(),
 		QueueDrops:    e.queueDrops.Load(),
 		HardDrops:     e.hardDrops.Load(),

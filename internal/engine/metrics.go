@@ -76,7 +76,7 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) {
 	// installed, in New and Reload.
 	reg.GaugeFunc("mfa_generation",
 		"Pattern generation new flows start on; bumps on every successful hot reload.",
-		func() float64 { return float64(e.gen.Load().id) })
+		func() float64 { return float64(e.Generation()) })
 
 	reg.CounterFunc("mfa_engine_matches_total",
 		"Confirmed matches delivered (exact at all times).",

@@ -17,6 +17,7 @@ import (
 	"matchfilter/internal/flow"
 	"matchfilter/internal/leakcheck"
 	"matchfilter/internal/pcap"
+	"matchfilter/internal/tenant"
 )
 
 // waitProcessed blocks until the shards have consumed n segments (the
@@ -289,4 +290,112 @@ func TestCloseUnblocksBackpressure(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close after unwedge: %v", err)
 	}
+}
+
+// Commands reach every shard in order. Each shard is held mid-scan while
+// Reload(reset), Reload(drain) and a ReloadTenant are issued back to
+// back; once released, every shard must have applied all three in turn:
+// the reset moved its in-flight flows to generation 2 (and the drain
+// left them there), new default flows start on generation 3 and new
+// tenant flows on the tenant's generation 2. A newest-wins slot would
+// have lost the reset. A shard rebuilt afterwards serves the same
+// newest generations.
+func TestReloadCommandsApplyInOrder(t *testing.T) {
+	leakcheck.Check(t)
+	const shards = 2
+	m := buildMFA(t, "ab.*cd")
+	plain := func() flow.Runner { return m.NewRunner() }
+	gate := make(chan struct{})
+	stalling := func() flow.Runner { return faultinject.StallOn([]byte("stall"), gate, m.NewRunner()) }
+	reg := tenant.NewRegistry(tenant.Config{})
+	var mu sync.Mutex
+	var got []Match
+	e := New(Config{Shards: shards, Tenants: reg}, stalling, func(mt Match) {
+		mu.Lock()
+		got = append(got, mt)
+		mu.Unlock()
+	})
+	reg.Bind(e)
+	acme, _, err := reg.Put("acme", tenant.PutSpec{NewRunner: plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(k pcap.FlowKey, seq uint32, payload string) {
+		t.Helper()
+		if err := e.HandleSegment(pcap.Segment{Key: k, Seq: seq, Flags: pcap.FlagACK, Payload: []byte(payload)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Per shard: one flow straddling the swaps ("ab" before, "cd" after)
+	// and one flow whose scan holds the shard until the gate opens.
+	var straddle, stall [shards]pcap.FlowKey
+	for port, found := uint16(1), 0; found < 2*shards; port++ {
+		k := pcap.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: port, DstPort: 80}
+		switch i := shardIndex(k, shards); {
+		case straddle[i] == pcap.FlowKey{}:
+			straddle[i] = k
+			found++
+		case stall[i] == pcap.FlowKey{}:
+			stall[i] = k
+			found++
+		}
+	}
+	for i := range straddle {
+		send(straddle[i], 1, "ab")
+		send(stall[i], 1, "stall")
+	}
+	waitProcessed(t, e, 2*shards) // every shard is now inside its stalled scan
+
+	for _, step := range []struct {
+		swap func() (uint64, error)
+		want uint64
+	}{
+		{func() (uint64, error) { return e.Reload(plain, ReloadReset) }, 2},
+		{func() (uint64, error) { return e.Reload(plain, ReloadDrain) }, 3},
+		{func() (uint64, error) { return e.ReloadTenant(acme, plain, false) }, 2},
+	} {
+		if gen, err := step.swap(); err != nil || gen != step.want {
+			t.Fatalf("swap = %d, %v; want generation %d", gen, err, step.want)
+		}
+	}
+	close(gate)
+	for _, k := range straddle {
+		send(k, 3, "cd")
+	}
+	fresh := pcap.FlowKey{SrcIP: 7, DstIP: 2, SrcPort: 7, DstPort: 80}
+	tenantFlow := pcap.FlowKey{Tenant: acme.Index(), SrcIP: 9, DstIP: 2, SrcPort: 9, DstPort: 80}
+	send(fresh, 1, "x")
+	send(tenantFlow, 1, "abcd")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Only the tenant flow matches: the reset discarded the straddling
+	// flows' "ab" state.
+	if len(got) != 1 || got[0].Flow != tenantFlow {
+		t.Errorf("matches = %v, want one on the tenant flow", got)
+	}
+	for i, s := range e.shards {
+		st := s.snap.Load()
+		if st.FlowsByGen[1] != 0 || st.FlowsByGen[2] != 2 || st.StaleRunners != 2 {
+			t.Errorf("shard %d: FlowsByGen %v StaleRunners %d; want both in-flight flows reset onto generation 2",
+				i, st.FlowsByGen, st.StaleRunners)
+		}
+	}
+	st := e.Stats()
+	tenantGen2 := packGen(acme.Index(), 2)
+	if st.Generation != 3 || st.GenFlows[3] != 1 || st.GenFlows[tenantGen2] != 1 {
+		t.Errorf("Generation %d, GenFlows %v; want the new flows on generation 3 and tenant generation 2",
+			st.Generation, st.GenFlows)
+	}
+
+	// A rebuilt assembler replays the newest generation of every rule set.
+	a := e.shards[0].rebuild()
+	a.HandleSegment(pcap.Segment{Key: fresh, Seq: 1, Flags: pcap.FlagACK, Payload: []byte("x")})
+	a.HandleSegment(pcap.Segment{Key: tenantFlow, Seq: 1, Flags: pcap.FlagACK, Payload: []byte("x")})
+	if fb := a.Stats().FlowsByGen; fb[3] != 1 || fb[tenantGen2] != 1 {
+		t.Errorf("rebuilt shard: FlowsByGen %v, want one flow on generation 3 and one on tenant generation 2", fb)
+	}
+	a.ReleaseGauges()
 }

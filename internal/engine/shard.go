@@ -67,19 +67,14 @@ type shard struct {
 	batching bool
 	held     []pcap.Owner
 
-	// Hot-reload plumbing (reload.go): genCmd holds the newest pending
-	// generation swap (applied on the shard goroutine before the next
-	// segment); wake nudges an idle shard so a swap is not stuck behind
-	// a quiet queue.
-	genCmd atomic.Pointer[genCommand]
-	wake   chan struct{}
-
-	// Tenant-command plumbing (tenant.go): unlike the newest-wins reload
-	// slot, commands for different tenants must all arrive, so they queue
-	// in a list; tenantPending keeps the hot path to one atomic load.
-	tenantMu      sync.Mutex
-	tenantCmds    []tenantCmd
-	tenantPending atomic.Bool
+	// Rule-set commands (reload.go): cmds is the ordered list of pending
+	// swaps, applied on the shard goroutine before its next segment;
+	// pending keeps the hot path to one atomic load, and wake nudges an
+	// idle shard so a swap is not stuck behind a quiet queue.
+	cmdMu   sync.Mutex
+	cmds    []command
+	pending atomic.Bool
+	wake    chan struct{}
 
 	// matches is updated on every confirmed match; snap mirrors the
 	// assembler's counters every statsEvery segments and at exit, so
@@ -191,8 +186,7 @@ func (s *shard) run(e *Engine) {
 			// reload's gauges and reset policy take effect promptly
 			// engine-wide. The batch is always empty here — every lockstep
 			// window flushes before the loop blocks again.
-			s.applyGeneration(e)
-			s.applyTenantCmds()
+			s.applyPending()
 			continue
 		}
 		if !ok {
@@ -244,16 +238,13 @@ func (s *shard) step(e *Engine, q queued, ls *loopState) {
 		// (leased payloads are accounted by their arena instead).
 		e.queuedBytes.Add(-int64(len(seg.Payload)))
 	}
-	// Apply a pending swap before scanning, so every segment
-	// dispatched after Reload returned is scanned post-swap (a flow
-	// it creates starts on the new generation). The swap paths flush
-	// the batch themselves (flow.setTenantGen), so deferred work never
-	// crosses a generation boundary.
-	if s.genCmd.Load() != nil {
-		s.applyGeneration(e)
-	}
-	if s.tenantPending.Load() {
-		s.applyTenantCmds()
+	// Apply pending swaps before scanning, so every segment dispatched
+	// after Reload returned is scanned post-swap (a flow it creates
+	// starts on the new generation). The swap paths flush the batch
+	// themselves (flow.setTenantGen), so deferred work never crosses a
+	// generation boundary.
+	if s.pending.Load() {
+		s.applyPending()
 	}
 	ls.n++
 	if ls.n%statsEvery == 0 {

@@ -20,6 +20,7 @@ package tenant
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -175,24 +176,26 @@ func (r *Registry) serveEvents(w http.ResponseWriter, req *http.Request, id stri
 	}{Total: t.Events().Total(), Events: t.Events().Tail(n)})
 }
 
-// ParseSize parses a byte count with an optional K/M/G suffix
-// (binary: K = 1024), as the mfaserve -max-memory flag does.
+// ParseSize parses a byte count with an optional K/M/G suffix (binary,
+// case-insensitive: 1K = 1024): "268435456", "512k", "256M", "1G". Zero
+// is accepted — for a quota it means unlimited; callers that need a
+// positive size check for it. It is mfaserve's one size parser: quotas
+// (-tenant max-buffered=, PUT ?max-buffered=), -max-memory and ?rate=.
 func ParseSize(s string) (int64, error) {
-	if s == "" {
-		return 0, fmt.Errorf("empty size")
+	num, mult := s, int64(1)
+	if s != "" {
+		switch s[len(s)-1] {
+		case 'k', 'K':
+			num, mult = s[:len(s)-1], 1<<10
+		case 'm', 'M':
+			num, mult = s[:len(s)-1], 1<<20
+		case 'g', 'G':
+			num, mult = s[:len(s)-1], 1<<30
+		}
 	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
-	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
-	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad size %q", s)
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("bad size %q (want a byte count like 268435456, 256M or 1G)", s)
 	}
 	return n * mult, nil
 }

@@ -6,7 +6,6 @@
 package tenant_test
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -21,6 +20,7 @@ import (
 	"matchfilter/internal/core"
 	"matchfilter/internal/engine"
 	"matchfilter/internal/flow"
+	"matchfilter/internal/patterns"
 	"matchfilter/internal/pcap"
 	"matchfilter/internal/regexparse"
 	"matchfilter/internal/telemetry"
@@ -55,23 +55,15 @@ func factory(m *core.MFA) func() flow.Runner {
 // compileRules is the test stand-in for mfaserve's rule compiler: the
 // same parse → compile → SelfCheck gate the admin PUT handler must run.
 func compileRules(body []byte) (func() flow.Runner, []string, error) {
-	var rules []core.Rule
-	var sources []string
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		p, err := regexparse.ParsePCRE(line)
-		if err != nil {
-			return nil, nil, fmt.Errorf("rule %q: %w", line, err)
-		}
-		rules = append(rules, core.Rule{Pattern: p, ID: int32(len(rules) + 1)})
-		sources = append(sources, line)
+	prules, err := patterns.Parse(bytes.NewReader(body), "body")
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(rules) == 0 {
-		return nil, nil, fmt.Errorf("no rules in body")
+	rules := make([]core.Rule, len(prules))
+	sources := make([]string, len(prules))
+	for i, r := range prules {
+		rules[i] = core.Rule{Pattern: r.Pattern, ID: r.ID}
+		sources[i] = r.Source
 	}
 	m, err := core.Compile(rules, core.Options{})
 	if err != nil {
@@ -603,7 +595,7 @@ func TestQuotaDegradationIsolation(t *testing.T) {
 		}
 		if i%4 == 0 {
 			q := i / 4
-			seg := pcap.Segment{Key: tkey(quiet.Index(), 1000 + q), Seq: 0, Flags: pcap.FlagACK, Payload: []byte("a quiet word passes")}
+			seg := pcap.Segment{Key: tkey(quiet.Index(), 1000+q), Seq: 0, Flags: pcap.FlagACK, Payload: []byte("a quiet word passes")}
 			if err := e.HandleSegment(seg); err != nil {
 				t.Fatal(err)
 			}

@@ -2,8 +2,11 @@ package matchfilter
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
+
+	"matchfilter/internal/core"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -112,5 +115,21 @@ func TestLoadedEngineStreams(t *testing.T) {
 	s.Write([]byte("ack"))   //nolint:errcheck
 	if len(got) != 1 || got[0].End != 11 {
 		t.Fatalf("streamed matches: %v", got)
+	}
+}
+
+// A hostile image pairs a two-rule automaton with a one-entry pattern
+// list. Before Load checked the filter program's reported rule ids
+// against the list, it loaded, scanned "haystack" as pattern 1 and made
+// Pattern(1) panic with an index out of range.
+func TestLoadRejectsReportOutsidePatterns(t *testing.T) {
+	e := MustCompile([]string{"needle", "haystack"})
+	var buf bytes.Buffer
+	if err := core.WriteImage(&buf, e.mfa, []string{"only-one"}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if !errors.Is(err, core.ErrBadFormat) || loaded != nil {
+		t.Fatalf("Load = %v, %v; want nil, ErrBadFormat", loaded, err)
 	}
 }

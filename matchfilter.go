@@ -24,7 +24,6 @@
 package matchfilter
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -235,25 +234,18 @@ func (s *Stream) Reset() { s.runner.Reset() }
 // pattern sources) so it can be loaded by Load without recompiling.
 // Compile-time statistics other than sizes are not preserved.
 func (e *Engine) Save(w io.Writer) error {
-	if err := core.WriteStrings(w, e.patterns); err != nil {
-		return fmt.Errorf("matchfilter: save: %w", err)
-	}
-	if _, err := e.mfa.WriteTo(w); err != nil {
+	if err := core.WriteImage(w, e.mfa, e.patterns); err != nil {
 		return fmt.Errorf("matchfilter: save: %w", err)
 	}
 	return nil
 }
 
 // Load deserializes an engine written by Save. The format is validated
-// structurally, so a corrupt or truncated file returns an error rather
-// than an engine that misbehaves.
+// structurally, and every rule the automaton can report must be one of
+// the saved patterns, so a corrupt, truncated or hostile file returns an
+// error rather than an engine that misbehaves.
 func Load(r io.Reader) (*Engine, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	patterns, err := core.ReadStrings(br)
-	if err != nil {
-		return nil, fmt.Errorf("matchfilter: load: %w", err)
-	}
-	m, err := core.ReadMFA(br)
+	m, patterns, err := core.ReadImage(r)
 	if err != nil {
 		return nil, fmt.Errorf("matchfilter: load: %w", err)
 	}
