@@ -40,7 +40,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"matchfilter/internal/nfa"
@@ -126,101 +125,158 @@ func FromNFA(n *nfa.NFA, opts Options) (*DFA, error) {
 }
 
 // constructor holds the working state of subset construction.
+//
+// Construction runs over alphabet blocks, not bytes: the 256 bytes are
+// refined by every distinct transition class of the NFA, so each class
+// is a union of blocks and all bytes of a block share one successor in
+// every DFA state. Blocks are numbered by the first byte they contain
+// and each state's successors are interned block by block in that
+// order, so new states appear in exactly the order a per-byte loop
+// would find them.
 type constructor struct {
 	n         *nfa.NFA
 	maxStates int
 
-	seen   []bool            // scratch for epsilon closures
+	closer      *nfa.Closer
+	blockOf     [regexparse.AlphabetSize]uint8
+	numBlocks   int
+	transBlocks [][][]uint8 // per NFA state and transition: the blocks its class covers
+
 	subset map[string]uint32 // closure key -> DFA state
-	queue  []closureEntry    // worklist of unexplored states
+	queue  [][]nfa.StateID   // closures of unexplored states, in state order
+	key    []byte            // closure key scratch
 
-	trans   [][]uint32 // per explored state: 256 targets
-	accepts [][]int32  // per state: sorted match ids (nil if none)
-}
-
-type closureEntry struct {
-	id      uint32
-	closure []nfa.StateID
+	trans   []uint32  // per explored state: numBlocks targets
+	accepts [][]int32 // per state: sorted match ids (nil if none)
 }
 
 func newConstructor(n *nfa.NFA, maxStates int) *constructor {
-	return &constructor{
+	c := &constructor{
 		n:         n,
 		maxStates: maxStates,
-		seen:      make([]bool, n.NumStates()),
+		closer:    n.NewCloser(),
 		subset:    make(map[string]uint32, 1024),
+	}
+	c.alphabetBlocks()
+	return c
+}
+
+// alphabetBlocks computes the common refinement of the 256 bytes by
+// every distinct transition class, numbering blocks by first byte, and
+// the block list of each transition.
+func (c *constructor) alphabetBlocks() {
+	covers := map[regexparse.Class][]uint8{}
+	for _, st := range c.n.States {
+		for _, t := range st.Trans {
+			covers[t.Class] = nil
+		}
+	}
+	c.numBlocks = 1
+	for cl := range covers {
+		// Split every block by membership in cl, renumbering by first
+		// byte: ids[2*block+in] is the refined block of that half.
+		var ids [2 * regexparse.AlphabetSize]int
+		n := 0
+		for b := range regexparse.AlphabetSize {
+			half := 2 * int(c.blockOf[b])
+			if cl.Contains(byte(b)) {
+				half++
+			}
+			if ids[half] == 0 {
+				n++
+				ids[half] = n
+			}
+			c.blockOf[b] = uint8(ids[half] - 1)
+		}
+		c.numBlocks = n
+	}
+	for cl := range covers {
+		var blocks []uint8
+		next := 0 // blocks are met in id order when scanning bytes
+		for b := range regexparse.AlphabetSize {
+			if k := int(c.blockOf[b]); k == next {
+				next++
+				if cl.Contains(byte(b)) {
+					blocks = append(blocks, uint8(k))
+				}
+			}
+		}
+		covers[cl] = blocks
+	}
+	c.transBlocks = make([][][]uint8, len(c.n.States))
+	for s, st := range c.n.States {
+		c.transBlocks[s] = make([][]uint8, len(st.Trans))
+		for i, t := range st.Trans {
+			c.transBlocks[s][i] = covers[t.Class]
+		}
 	}
 }
 
-// intern returns the DFA state for a closure, creating it if new.
+// intern returns the DFA state for a closure, creating it if new. The
+// closure is copied only when it starts a new state.
 func (c *constructor) intern(closure []nfa.StateID) (uint32, error) {
-	key := closureKey(closure)
-	if id, ok := c.subset[key]; ok {
+	c.key = appendKey(c.key[:0], closure)
+	if id, ok := c.subset[string(c.key)]; ok {
 		return id, nil
 	}
 	if len(c.accepts) >= c.maxStates {
 		return 0, fmt.Errorf("%w: more than %d states", ErrTooManyStates, c.maxStates)
 	}
 	id := uint32(len(c.accepts))
-	c.subset[key] = id
+	c.subset[string(c.key)] = id
 	c.accepts = append(c.accepts, matchSet(c.n, closure))
-	c.queue = append(c.queue, closureEntry{id: id, closure: closure})
+	c.queue = append(c.queue, slices.Clone(closure))
 	return id, nil
 }
 
 func (c *constructor) run() error {
-	startClosure := c.n.EpsClosure([]nfa.StateID{c.n.Start}, c.seen)
-	if _, err := c.intern(startClosure); err != nil {
+	if _, err := c.intern(c.closer.Closure(nil, c.n.Start)); err != nil {
 		return err
 	}
 
-	var buckets [regexparse.AlphabetSize][]nfa.StateID
+	buckets := make([][]nfa.StateID, c.numBlocks)
+	var next []nfa.StateID
+	var rawKey []byte
+	local := make(map[string]uint32, c.numBlocks)
 	for len(c.queue) > 0 {
-		entry := c.queue[0]
+		closure := c.queue[0]
 		c.queue = c.queue[1:]
 
 		for i := range buckets {
 			buckets[i] = buckets[i][:0]
 		}
-		for _, s := range entry.closure {
-			for _, t := range c.n.States[s].Trans {
-				to := t.To
-				forEachClassByte(t.Class, func(b byte) {
-					buckets[b] = append(buckets[b], to)
-				})
+		for _, s := range closure {
+			for i, t := range c.n.States[s].Trans {
+				for _, k := range c.transBlocks[s][i] {
+					buckets[k] = append(buckets[k], t.To)
+				}
 			}
 		}
-
-		row := make([]uint32, regexparse.AlphabetSize)
-		// Bytes with identical raw target sets share the same successor;
-		// cache on the raw-set key to skip redundant closure work.
-		local := make(map[string]uint32, 8)
-		for b := 0; b < regexparse.AlphabetSize; b++ {
-			targets := buckets[b]
-			slices.Sort(targets)
-			targets = slices.Compact(targets)
-			rawKey := closureKey(targets)
-			if id, ok := local[rawKey]; ok {
-				row[b] = id
-				continue
+		// Blocks whose raw target lists are equal share a successor;
+		// most blocks of a state see only its dot-loop targets, so the
+		// cache skips most closures.
+		clear(local)
+		for _, targets := range buckets {
+			rawKey = appendKey(rawKey[:0], targets)
+			id, ok := local[string(rawKey)]
+			if !ok {
+				next = c.closer.Closure(next[:0], targets...)
+				var err error
+				if id, err = c.intern(next); err != nil {
+					return err
+				}
+				local[string(rawKey)] = id
 			}
-			closure := c.n.EpsClosure(targets, c.seen)
-			id, err := c.intern(closure)
-			if err != nil {
-				return err
-			}
-			local[rawKey] = id
-			row[b] = id
+			c.trans = append(c.trans, id)
 		}
-		c.trans = append(c.trans, row)
 	}
 	return nil
 }
 
 // finish renumbers states so accepting ones form a contiguous tail and
-// packs the transition rows into one flat array.
+// expands the block-wide rows into one flat 256-wide array.
 func (c *constructor) finish() *DFA {
-	numStates := len(c.trans)
+	numStates := len(c.accepts)
 	perm := make([]uint32, numStates) // old -> new
 	numAccept := 0
 	for _, m := range c.accepts {
@@ -248,12 +304,13 @@ func (c *constructor) finish() *DFA {
 		acceptStart: acceptStart,
 		accepts:     make([][]int32, numAccept),
 	}
-	for old, row := range c.trans {
-		base := int(perm[old]) * regexparse.AlphabetSize
-		for b, to := range row {
-			d.trans[base+b] = perm[to]
+	for old, m := range c.accepts {
+		row := c.trans[old*c.numBlocks : (old+1)*c.numBlocks]
+		flat := d.trans[int(perm[old])*regexparse.AlphabetSize:][:regexparse.AlphabetSize]
+		for b, k := range c.blockOf {
+			flat[b] = perm[row[k]]
 		}
-		if m := c.accepts[old]; m != nil {
+		if m != nil {
 			d.accepts[perm[old]-acceptStart] = m
 		}
 	}
@@ -276,26 +333,12 @@ func matchSet(n *nfa.NFA, closure []nfa.StateID) []int32 {
 	return slices.Compact(ids)
 }
 
-// closureKey encodes a sorted state list as a map key.
-func closureKey(states []nfa.StateID) string {
-	buf := make([]byte, 4*len(states))
-	for i, s := range states {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(s))
+// appendKey appends a state list to buf as map-key bytes.
+func appendKey(buf []byte, states []nfa.StateID) []byte {
+	for _, s := range states {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
 	}
-	return string(buf)
-}
-
-// forEachClassByte invokes fn for every byte in the class, scanning the
-// bitmap words directly to avoid a temporary slice.
-func forEachClassByte(cl regexparse.Class, fn func(b byte)) {
-	for w := 0; w < 4; w++ {
-		word := cl[w]
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			fn(byte(w*64 + bit))
-			word &^= 1 << bit
-		}
-	}
+	return buf
 }
 
 // NumStates returns the number of DFA states, the "DFA Qs" column of

@@ -2,7 +2,6 @@ package dfa
 
 import (
 	"encoding/binary"
-	"hash/maphash"
 	"slices"
 
 	"matchfilter/internal/regexparse"
@@ -14,11 +13,12 @@ import (
 // states merge only if they report identical match-id sets and have
 // pairwise-equivalent successors on every byte.
 //
-// minimize is layout-preserving: the refinement itself runs on the flat
-// table (FromNFA calls it before applyLayout), and a classed receiver is
-// flattened, minimized, and re-compressed. Byte-class compression is a
-// column quotient and commutes with this row quotient, so the order
-// loses nothing.
+// minimize is layout-preserving: FromNFA calls it on the flat table
+// before applyLayout, and a classed receiver is flattened, minimized,
+// and re-compressed. Refinement compares successors per byte class, not
+// per byte: byte-class compression is a column quotient and commutes
+// with this row quotient, so the k-column signatures partition states
+// exactly as the 256-column ones would.
 func (d *DFA) minimize() *DFA {
 	if d.classOf != nil {
 		flat := &DFA{
@@ -34,54 +34,46 @@ func (d *DFA) minimize() *DFA {
 	n := d.numStates
 	group := make([]uint32, n)
 
-	// Initial partition: group by decision set.
-	acceptGroups := make(map[string]uint32)
-	numGroups := uint32(1) // group 0 = non-accepting
+	// Initial partition: group by decision set, non-accepting states
+	// under the empty key. Groups are numbered densely, so none is empty
+	// and a round that keeps the group count has split nothing — even
+	// when every state accepts.
+	initial := make(map[string]uint32)
 	for s := 0; s < n; s++ {
-		if !d.Accepting(uint32(s)) {
-			group[s] = 0
-			continue
-		}
 		key := int32sKey(d.Matches(uint32(s)))
-		g, ok := acceptGroups[key]
+		g, ok := initial[key]
 		if !ok {
-			g = numGroups
-			numGroups++
-			acceptGroups[key] = g
+			g = uint32(len(initial))
+			initial[key] = g
 		}
 		group[s] = g
 	}
+	numGroups := uint32(len(initial))
 
-	// Refine: a state's signature is its group plus the groups of its 256
-	// successors. Iterate until the number of groups stabilizes.
-	seed := maphash.MakeSeed()
+	// Refine: a state's signature is its group plus the groups of its
+	// successors, one per byte class (bytes of one class have equal
+	// columns in every state, so this is exact). Buckets are keyed on
+	// the signature itself and numbered by first occurrence. Iterate
+	// until the number of groups stabilizes.
+	classed := d.Compressed()
+	k := classed.numClasses
 	next := make([]uint32, n)
-	sig := make([]byte, 4+4*regexparse.AlphabetSize)
+	sig := make([]byte, 0, 4+4*k)
 	for {
-		buckets := make(map[uint64][]int, numGroups*2)
-		var order []uint64 // deterministic group numbering
+		ids := make(map[string]uint32, numGroups*2)
 		for s := 0; s < n; s++ {
-			binary.LittleEndian.PutUint32(sig[0:], group[s])
-			base := s * regexparse.AlphabetSize
-			for b := 0; b < regexparse.AlphabetSize; b++ {
-				binary.LittleEndian.PutUint32(sig[4+4*b:], group[d.trans[base+b]])
+			sig = binary.LittleEndian.AppendUint32(sig[:0], group[s])
+			for _, to := range classed.trans[s*k : (s+1)*k] {
+				sig = binary.LittleEndian.AppendUint32(sig, group[to/uint32(k)])
 			}
-			h := maphash.Bytes(seed, sig)
-			if _, ok := buckets[h]; !ok {
-				order = append(order, h)
+			id, ok := ids[string(sig)]
+			if !ok {
+				id = uint32(len(ids))
+				ids[string(sig)] = id
 			}
-			buckets[h] = append(buckets[h], s)
+			next[s] = id
 		}
-		// Hash collisions would merge inequivalent states; with a 64-bit
-		// hash over <2^20 states this is vanishingly unlikely, and any
-		// collision is caught by the cross-engine equivalence tests.
-		newNum := uint32(0)
-		for _, h := range order {
-			for _, s := range buckets[h] {
-				next[s] = newNum
-			}
-			newNum++
-		}
+		newNum := uint32(len(ids))
 		if newNum == numGroups {
 			break
 		}

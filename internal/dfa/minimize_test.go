@@ -98,3 +98,25 @@ func TestMinimizePreservesDistinctMatchIDs(t *testing.T) {
 		t.Fatalf("distinct ids must survive minimization: %v", got)
 	}
 }
+
+// TestMinimizeAllStatesAccepting covers a DFA with no non-accepting
+// state (an empty rule matches at every offset): minimization must
+// still refine fully and keep the match stream.
+func TestMinimizeAllStatesAccepting(t *testing.T) {
+	n := buildNFA(t, "", "000")
+	raw, err := FromNFA(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	min, err := FromNFA(n, Options{Minimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.AcceptStart() != 0 || min.AcceptStart() != 0 {
+		t.Fatalf("every state should accept: raw acceptStart %d, min %d", raw.AcceptStart(), min.AcceptStart())
+	}
+	input := []byte("0a00b000c0000")
+	if got, want := fmt.Sprint(NewEngine(min).Run(input)), fmt.Sprint(NewEngine(raw).Run(input)); got != want {
+		t.Fatalf("minimized %s, unminimized %s", got, want)
+	}
+}

@@ -15,10 +15,10 @@ type Engine struct {
 
 // NewEngine precomputes epsilon closures and returns a matcher for n.
 func NewEngine(n *NFA) *Engine {
-	seen := make([]bool, n.NumStates())
+	c := n.NewCloser()
 	closures := make([][]StateID, n.NumStates())
 	for s := range closures {
-		closures[s] = n.EpsClosure([]StateID{StateID(s)}, seen)
+		closures[s] = c.Closure(nil, StateID(s))
 	}
 	return &Engine{
 		n:        n,

@@ -6,7 +6,7 @@ package nfa
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"matchfilter/internal/regexparse"
 )
@@ -278,32 +278,52 @@ func (n *NFA) MemoryImageBytes() int {
 	return total
 }
 
-// EpsClosure returns the epsilon closure of the given states (including
-// themselves) as a sorted, deduplicated slice. The seen scratch slice must
-// have length NumStates and be all-false; it is reset before return.
-func (n *NFA) EpsClosure(states []StateID, seen []bool) []StateID {
-	var out []StateID
-	var stack []StateID
-	for _, s := range states {
-		if !seen[s] {
-			seen[s] = true
+// Closer computes epsilon closures over one NFA. Its scratch is a
+// bitset of (NumStates+63)/64 words: the search marks states as it
+// reaches them, so duplicate seeds cost nothing, and a scan of the
+// touched words emits the closure already sorted. A Closer is not safe
+// for concurrent use.
+type Closer struct {
+	n     *NFA
+	set   []uint64
+	stack []StateID
+}
+
+// NewCloser returns a Closer for n.
+func (n *NFA) NewCloser() *Closer {
+	return &Closer{n: n, set: make([]uint64, (len(n.States)+63)/64)}
+}
+
+// Closure appends the epsilon closure of states (including themselves)
+// to dst as a sorted, deduplicated list and returns the extended slice.
+// states may contain duplicates and need not be sorted.
+func (c *Closer) Closure(dst []StateID, states ...StateID) []StateID {
+	lo, hi := len(c.set), -1
+	stack := c.stack[:0]
+	mark := func(s StateID) {
+		w, bit := int(s>>6), uint64(1)<<(s&63)
+		if c.set[w]&bit == 0 {
+			c.set[w] |= bit
+			lo, hi = min(lo, w), max(hi, w)
 			stack = append(stack, s)
 		}
+	}
+	for _, s := range states {
+		mark(s)
 	}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		out = append(out, s)
-		for _, t := range n.States[s].Eps {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
-			}
+		for _, t := range c.n.States[s].Eps {
+			mark(t)
 		}
 	}
-	for _, s := range out {
-		seen[s] = false
+	c.stack = stack
+	for w := lo; w <= hi; w++ {
+		for word := c.set[w]; word != 0; word &= word - 1 {
+			dst = append(dst, StateID(w<<6|bits.TrailingZeros64(word)))
+		}
+		c.set[w] = 0
 	}
-	slices.Sort(out)
-	return out
+	return dst
 }

@@ -29,21 +29,9 @@ func SuffixPrefixOverlap(a, b *regexparse.Node) (bool, error) {
 		return false, err
 	}
 
-	seenA := make([]bool, na.NumStates())
-	seenB := make([]bool, nb.NumStates())
-
-	// accepting[s] is true when s's epsilon closure contains A's accept.
-	acceptingA := make([]bool, na.NumStates())
-	for s := range na.States {
-		for _, q := range na.EpsClosure([]nfa.StateID{nfa.StateID(s)}, seenA) {
-			if len(na.States[q].Matches) > 0 {
-				acceptingA[s] = true
-				break
-			}
-		}
-	}
-
-	startB := nb.EpsClosure([]nfa.StateID{nb.Start}, seenB)
+	ca, cb := na.NewCloser(), nb.NewCloser()
+	acceptingA := acceptClosures(na)
+	startB := cb.Closure(nil, nb.Start)
 
 	type pair struct{ a, b nfa.StateID }
 	visited := make(map[pair]bool)
@@ -72,8 +60,7 @@ func SuffixPrefixOverlap(a, b *regexparse.Node) (bool, error) {
 		}
 	}
 
-	scratchA := make([]bool, na.NumStates())
-	scratchB := make([]bool, nb.NumStates())
+	var closA, closB []nfa.StateID
 	for len(frontier) > 0 {
 		cur := frontier
 		frontier = nil
@@ -83,8 +70,8 @@ func SuffixPrefixOverlap(a, b *regexparse.Node) (bool, error) {
 					if ta.Class.Intersect(tb.Class).IsEmpty() {
 						continue
 					}
-					closA := na.EpsClosure([]nfa.StateID{ta.To}, scratchA)
-					closB := nb.EpsClosure([]nfa.StateID{tb.To}, scratchB)
+					closA = ca.Closure(closA[:0], ta.To)
+					closB = cb.Closure(closB[:0], tb.To)
 					for _, qa := range closA {
 						for _, qb := range closB {
 							if push(pair{qa, qb}, 1) {
@@ -122,18 +109,9 @@ func InfixOverlap(a, b *regexparse.Node) (bool, error) {
 		return false, err
 	}
 
-	seenA := make([]bool, na.NumStates())
-
-	acceptingA := make([]bool, na.NumStates())
-	for s := range na.States {
-		for _, q := range na.EpsClosure([]nfa.StateID{nfa.StateID(s)}, seenA) {
-			if len(na.States[q].Matches) > 0 {
-				acceptingA[s] = true
-				break
-			}
-		}
-	}
-	startA := na.EpsClosure([]nfa.StateID{na.Start}, seenA)
+	ca, cb := na.NewCloser(), nb.NewCloser()
+	acceptingA := acceptClosures(na)
+	startA := ca.Closure(nil, na.Start)
 
 	type pair struct{ a, b nfa.StateID }
 	visited := make(map[pair]bool)
@@ -159,8 +137,7 @@ func InfixOverlap(a, b *regexparse.Node) (bool, error) {
 		}
 	}
 
-	scratchA := make([]bool, na.NumStates())
-	scratchB := make([]bool, nb.NumStates())
+	var closA, closB []nfa.StateID
 	for len(frontier) > 0 {
 		cur := frontier
 		frontier = nil
@@ -170,8 +147,8 @@ func InfixOverlap(a, b *regexparse.Node) (bool, error) {
 					if ta.Class.Intersect(tb.Class).IsEmpty() {
 						continue
 					}
-					closA := na.EpsClosure([]nfa.StateID{ta.To}, scratchA)
-					closB := nb.EpsClosure([]nfa.StateID{tb.To}, scratchB)
+					closA = ca.Closure(closA[:0], ta.To)
+					closB = cb.Closure(closB[:0], tb.To)
 					for _, qa := range closA {
 						for _, qb := range closB {
 							if push(pair{qa, qb}, 1) {
@@ -217,16 +194,7 @@ func classInFinalPosition(x regexparse.Class, a *regexparse.Node) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	seen := make([]bool, na.NumStates())
-	acceptish := make([]bool, na.NumStates())
-	for s := range na.States {
-		for _, q := range na.EpsClosure([]nfa.StateID{nfa.StateID(s)}, seen) {
-			if len(na.States[q].Matches) > 0 {
-				acceptish[s] = true
-				break
-			}
-		}
-	}
+	acceptish := acceptClosures(na)
 	for i := range na.States {
 		for _, t := range na.States[i].Trans {
 			if acceptish[t.To] && !t.Class.Intersect(x).IsEmpty() {
@@ -235,4 +203,22 @@ func classInFinalPosition(x regexparse.Class, a *regexparse.Node) (bool, error) 
 		}
 	}
 	return false, nil
+}
+
+// acceptClosures reports, per state of n, whether its epsilon closure
+// contains an accepting state.
+func acceptClosures(n *nfa.NFA) []bool {
+	c := n.NewCloser()
+	out := make([]bool, n.NumStates())
+	var clos []nfa.StateID
+	for s := range n.States {
+		clos = c.Closure(clos[:0], nfa.StateID(s))
+		for _, q := range clos {
+			if len(n.States[q].Matches) > 0 {
+				out[s] = true
+				break
+			}
+		}
+	}
+	return out
 }
